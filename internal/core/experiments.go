@@ -40,11 +40,14 @@ type MatrixOptions struct {
 	// Config.PlaceWorkers); reports are bit-identical at any setting.
 	PlaceWorkers int
 	Verify       bool
-	// Stages, when set, is the stage-granular build cache every cell
-	// runs against (see Config.Stages): cells sharing a key-chain
-	// prefix — every clock-pinned variant of one (design, arch), both
-	// flows of one placement — compute it once. Pure acceleration:
-	// reports are bit-identical with or without it.
+	// Stages is the stage-granular build cache every cell runs against
+	// (see Config.Stages). When nil, the matrix runs against a fresh
+	// in-memory cache that lives only as long as the call: the two
+	// flows of each (design, PLB) share its flow-independent prefix,
+	// so the second restores the compacted netlist and the annealed
+	// placement instead of recomputing them. Set it to a persistent
+	// cache (the daemon's) to share artifacts across matrices too.
+	// Pure acceleration: reports are bit-identical either way.
 	Stages *StageCache
 	// Parallel bounds the number of concurrently executing flow runs:
 	// 0 uses GOMAXPROCS, 1 forces fully sequential execution. For a
@@ -228,8 +231,10 @@ func sortLedger(errs []*FlowError) {
 // each design is fixed across its four runs — 1.2× the post-layout
 // arrival of the first run — so slack comparisons are apples to
 // apples, mirroring the paper's single cycle time per table. Designs
-// run concurrently; within a design the three clock-dependent runs fan
-// out as soon as the clock-pinning run finishes.
+// run concurrently; within a design the two PLBs fan out as soon as
+// the clock-pinning run finishes, and each PLB runs its flows in
+// order, so flow b restores the map/compact/place prefix flow a left
+// in the stage cache (see MatrixOptions.Stages) at any Parallel.
 //
 // Failures never crash or hang the pool: a panicking worker, a timed
 // out run, or an unroutable defect map becomes a *FlowError in the
@@ -245,6 +250,10 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 	par := opts.Parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
+	}
+	stages := opts.Stages
+	if stages == nil {
+		stages = newMatrixStageCache()
 	}
 	m := &Matrix{Designs: suite.All(), Reports: map[string]map[string]map[string]*Report{}}
 	archs := []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()}
@@ -303,7 +312,7 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			Arch: arch, Flow: flow, ClockPeriod: clock,
 			Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
 			Verify: opts.Verify, Defects: opts.Defects, RepairBudget: opts.RepairBudget,
-			Stages: opts.Stages, routePool: pool,
+			Stages: stages, routePool: pool,
 		}
 		if bail {
 			skip(ticket)
@@ -374,22 +383,31 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			first.Reclock(clock)
 			store(d, archs[0], FlowA, first, seq(di, 0, 0))
 
-			// Fan out the three clock-dependent runs.
+			// Fan out the PLBs; each runs its clock-dependent flows in
+			// order, so every flow after a PLB's first restores the
+			// shared prefix instead of racing it to the anneal.
 			var iwg sync.WaitGroup
 			for ai, arch := range archs {
-				for fi, flow := range flows {
-					if ai == 0 && flow == FlowA {
-						continue
+				iwg.Add(1)
+				go func(ai int, arch *cells.PLBArch) {
+					defer iwg.Done()
+					var uses []StageUse // the PLB's chain links
+					if ai == 0 {
+						uses = first.StageCache
 					}
-					iwg.Add(1)
-					go func(ai, fi int, arch *cells.PLBArch, flow FlowKind) {
-						defer iwg.Done()
+					for fi, flow := range flows {
+						if ai == 0 && flow == FlowA {
+							continue
+						}
 						ticket := seq(di, ai, fi)
 						if rep := runOne(d, arch, flow, clock, ticket); rep != nil {
+							uses = rep.StageCache
 							store(d, arch, flow, rep, ticket)
 						}
-					}(ai, fi, arch, flow)
-				}
+					}
+					// No other cell restores this (design, PLB)'s prefix.
+					stages.drop(uses)
+				}(ai, arch)
 			}
 			iwg.Wait()
 		}(di, d)

@@ -532,9 +532,9 @@ func execFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifa
 		return hit
 	}
 	// save stores a computed stage's artifact, best-effort; without a
-	// cache the payload is never even encoded.
+	// cache that keeps the stage the payload is never even encoded.
 	save := func(stage string, build func() any) {
-		if stages == nil || prefix == nil {
+		if prefix == nil || !stages.keeps(stage) {
 			return
 		}
 		if key := prefix.key(stage); key != "" {

@@ -207,6 +207,39 @@ type StageCache struct {
 
 	mu     sync.Mutex
 	counts map[string]*StageCounts
+	// mem, when set, backs the cache in memory instead of a store:
+	// the matrix-scoped cache RunMatrix builds when it is given none.
+	mem map[string][]byte
+}
+
+// newMatrixStageCache returns an in-memory stage cache scoped to one
+// matrix and dropped with it. It keeps only the compact and place
+// links: those are what a sibling cell (the other flow of one
+// (design, PLB)) restores. No matrix cell reads the map link, which
+// compact shadows, and no two cells share a pack or route key, which
+// include the flow and the clock. Entries still round-trip through
+// encodeStage/decodeStage, so every restore is a private copy.
+func newMatrixStageCache() *StageCache {
+	return &StageCache{counts: make(map[string]*StageCounts), mem: make(map[string][]byte)}
+}
+
+// drop forgets the in-memory entries of a finished run's chain links,
+// once no other run will restore them. A store-backed cache keeps
+// everything: its entries outlive the caller by design.
+func (c *StageCache) drop(uses []StageUse) {
+	if c == nil || c.mem == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, u := range uses {
+		delete(c.mem, u.Key)
+	}
+}
+
+// keeps reports whether the cache stores the given stage's artifacts.
+func (c *StageCache) keeps(stage string) bool {
+	return c != nil && (c.mem == nil || stage == StageCompact || stage == StagePlace)
 }
 
 // NewStageCache wraps an artifact store as a stage cache. A nil store
@@ -265,6 +298,12 @@ func (c *StageCache) get(key string) ([]byte, bool) {
 	if c == nil || key == "" {
 		return nil, false
 	}
+	if c.mem != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		raw, ok := c.mem[key]
+		return raw, ok
+	}
 	return c.store.Get(key)
 }
 
@@ -272,6 +311,12 @@ func (c *StageCache) get(key string) ([]byte, bool) {
 // its shortcut, never this run its result.
 func (c *StageCache) put(key string, payload []byte) {
 	if c == nil || key == "" || payload == nil {
+		return
+	}
+	if c.mem != nil {
+		c.mu.Lock()
+		c.mem[key] = payload
+		c.mu.Unlock()
 		return
 	}
 	c.store.Put(key, payload)

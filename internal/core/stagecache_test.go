@@ -388,3 +388,36 @@ func TestSweepSharedStageCache(t *testing.T) {
 		}
 	}
 }
+
+// TestMatrixSharesPrefixPerPLB: a matrix run without a stage cache
+// still anneals each (design, PLB) exactly once. Its second flow
+// restores the first's placement at any Parallel, because a PLB's
+// flows run in order rather than racing each other to the anneal.
+func TestMatrixSharesPrefixPerPLB(t *testing.T) {
+	suite := smallSuite()
+	for _, par := range []int{1, 4} {
+		m, err := RunMatrix(context.Background(), suite, MatrixOptions{Seed: 7, PlaceEffort: 1, Parallel: par})
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", par, err)
+		}
+		for _, d := range m.Designs {
+			for _, arch := range MatrixArchNames() {
+				hits := map[string]int{}
+				for _, flow := range []FlowKind{FlowA, FlowB} {
+					for _, u := range m.Get(d.Name, arch, flow).StageCache {
+						if u.Hit {
+							hits[u.Stage]++
+						}
+					}
+				}
+				if hits[StagePlace] != 1 || hits[StageCompact] != 1 {
+					t.Errorf("parallel=%d %s/%s: %d place and %d compact hits, want 1 each",
+						par, d.Name, arch, hits[StagePlace], hits[StageCompact])
+				}
+				if hits[StagePack] != 0 || hits[StageRoute] != 0 {
+					t.Errorf("parallel=%d %s/%s: restored flow-specific stages: %v", par, d.Name, arch, hits)
+				}
+			}
+		}
+	}
+}

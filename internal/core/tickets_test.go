@@ -13,7 +13,9 @@ import (
 // pin first, dependents pinned to the derived clock — reproduces the
 // monolithic RunMatrix cells bit-identically. This is what lets a
 // coordinator ship tickets to worker nodes and merge a byte-identical
-// matrix.
+// matrix. The tickets run standalone without a stage cache, so they
+// are also the uncached oracle for every cell of a matrix, which
+// always shares its prefix through one.
 func TestMatrixTicketEquivalence(t *testing.T) {
 	suite := bench.TestSuite()
 	m, err := RunMatrix(context.Background(), suite, MatrixOptions{Seed: 7, PlaceEffort: 3})
@@ -23,31 +25,31 @@ func TestMatrixTicketEquivalence(t *testing.T) {
 	m.StripMetrics()
 
 	plan := MatrixPlan{Scale: "test", Seed: 7, PlaceEffort: 3}
-	design := MatrixDesignNames()[0] // alu
-	designName := suite.All()[0].Name
-
-	pin, err := RunRequest(context.Background(), plan.PinTicket(design), nil)
-	if err != nil {
-		t.Fatalf("pin ticket: %v", err)
-	}
-	clock := plan.PinnedClock(pin)
-	pin.Reclock(clock)
-	pin.StripMetrics()
-	want := m.Reports[designName][MatrixArchNames()[0]]["flow a"]
-	if !reflect.DeepEqual(pin, want) {
-		t.Fatalf("pin cell diverged from RunMatrix:\nticket %+v\nmatrix %+v", pin, want)
-	}
-
-	for _, cell := range plan.DependentTickets(design, clock) {
-		rep, err := RunRequest(context.Background(), cell.Req, nil)
+	for i, design := range MatrixDesignNames() {
+		designName := suite.All()[i].Name
+		pin, err := RunRequest(context.Background(), plan.PinTicket(design), nil)
 		if err != nil {
-			t.Fatalf("cell %s/%s: %v", cell.ArchName, cell.Flow, err)
+			t.Fatalf("%s pin ticket: %v", design, err)
 		}
-		rep.StripMetrics()
-		want := m.Reports[designName][cell.ArchName][cell.Flow]
-		if !reflect.DeepEqual(rep, want) {
-			t.Fatalf("cell %s/%s diverged from RunMatrix:\nticket %+v\nmatrix %+v",
-				cell.ArchName, cell.Flow, rep, want)
+		clock := plan.PinnedClock(pin)
+		pin.Reclock(clock)
+		pin.StripMetrics()
+		want := m.Reports[designName][MatrixArchNames()[0]]["flow a"]
+		if !reflect.DeepEqual(pin, want) {
+			t.Fatalf("%s pin cell diverged from RunMatrix:\nticket %+v\nmatrix %+v", design, pin, want)
+		}
+
+		for _, cell := range plan.DependentTickets(design, clock) {
+			rep, err := RunRequest(context.Background(), cell.Req, nil)
+			if err != nil {
+				t.Fatalf("%s cell %s/%s: %v", design, cell.ArchName, cell.Flow, err)
+			}
+			rep.StripMetrics()
+			want := m.Reports[designName][cell.ArchName][cell.Flow]
+			if !reflect.DeepEqual(rep, want) {
+				t.Fatalf("%s cell %s/%s diverged from RunMatrix:\nticket %+v\nmatrix %+v",
+					design, cell.ArchName, cell.Flow, rep, want)
+			}
 		}
 	}
 }

@@ -60,30 +60,53 @@ func TestTracingDeterminism(t *testing.T) {
 	}
 }
 
-// Every traced run must cover every stage its flow executes, carry
+// Every traced run must cover every stage it computed, carry
 // consistent solver counters, and export as valid Chrome trace JSON
-// with one row per pool worker.
+// with one row per pool worker. Coverage is checked against the run's
+// stage-cache provenance: a computed link must have its span, a run
+// that computed the placement must have annealed, and a run that
+// restored it must not have.
 func TestTracingStageCoverage(t *testing.T) {
 	suite := smallSuite()
 	tr := obs.NewTracer()
-	if _, err := RunMatrix(context.Background(), suite, MatrixOptions{
+	m, err := RunMatrix(context.Background(), suite, MatrixOptions{
 		Seed: 7, PlaceEffort: 1, Parallel: 2, Trace: tr,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	runs := tr.Runs()
 	if want := len(suite.All()) * 4; len(runs) != want {
 		t.Fatalf("tracer recorded %d runs, want %d", len(runs), want)
 	}
-	shared := []string{"rtl", "synth", "map", "compact", "place", "route", "sta", "power"}
+	// The spans a computed chain link opens. The placement problem
+	// build and refinement, STA and power run on every run.
+	linkSpans := map[string][]string{
+		StageMap: {"rtl", "synth", "map"}, StageCompact: {"compact"},
+		StagePlace: {"place"}, StagePack: {"pack"}, StageRoute: {"route"},
+	}
+	var computedPlace, restoredPlace int
 	for _, run := range runs {
+		label := strings.SplitN(run.Label(), "/", 3)
+		rep := m.Reports[label[0]][label[1]][label[2]]
+		if rep == nil || len(rep.StageCache) == 0 {
+			t.Fatalf("run %s: no report with stage provenance", run.Label())
+		}
 		have := map[string]bool{}
 		for _, st := range run.StageTimings() {
 			have[st.Stage] = true
 		}
-		want := shared
-		if strings.HasSuffix(run.Label(), "flow b") {
-			want = append(append([]string{}, shared...), "pack", "viamap")
+		want := []string{"place", "sta", "power"}
+		if rep.Flow == FlowB.String() {
+			want = append(want, "viamap")
+		}
+		placeHit := false
+		for _, u := range rep.StageCache {
+			if u.Hit {
+				placeHit = placeHit || u.Stage == StagePlace
+				continue
+			}
+			want = append(want, linkSpans[u.Stage]...)
 		}
 		for _, s := range want {
 			if !have[s] {
@@ -91,8 +114,16 @@ func TestTracingStageCoverage(t *testing.T) {
 			}
 		}
 		sm := run.SolverMetrics()
-		if sm.AnnealPasses == 0 || sm.AnnealProposed == 0 || sm.AnnealAccepted == 0 {
-			t.Errorf("run %s: empty anneal counters: %+v", run.Label(), sm)
+		if placeHit {
+			restoredPlace++
+			if sm.AnnealPasses != 0 || sm.AnnealProposed != 0 {
+				t.Errorf("run %s restored its placement but annealed: %+v", run.Label(), sm)
+			}
+		} else {
+			computedPlace++
+			if sm.AnnealPasses == 0 || sm.AnnealProposed == 0 || sm.AnnealAccepted == 0 {
+				t.Errorf("run %s: empty anneal counters: %+v", run.Label(), sm)
+			}
 		}
 		if sm.AnnealAccepted > sm.AnnealProposed {
 			t.Errorf("run %s: accepted %d > proposed %d", run.Label(), sm.AnnealAccepted, sm.AnnealProposed)
@@ -103,6 +134,9 @@ func TestTracingStageCoverage(t *testing.T) {
 		if sm.RouteBestIteration < 1 || sm.RouteBestIteration > sm.RouteIterations {
 			t.Errorf("run %s: best iteration %d outside [1,%d]", run.Label(), sm.RouteBestIteration, sm.RouteIterations)
 		}
+	}
+	if computedPlace == 0 || restoredPlace == 0 {
+		t.Errorf("placement computed in %d runs and restored in %d, want both", computedPlace, restoredPlace)
 	}
 
 	var buf bytes.Buffer

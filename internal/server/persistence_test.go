@@ -285,6 +285,90 @@ func TestDrainJournalsInFlight(t *testing.T) {
 	}
 }
 
+// TestAcceptedJournaledBeforeRun is the regression test for the
+// journal ordering race: no worker may see a job before its accepted
+// entry is journaled, and a submission refused by a full queue
+// journals nothing. The test holds the journal's lock across the first
+// submission, so its accepted append blocks; a submit that queued
+// before journaling would let the idle worker start the job meanwhile.
+func TestAcceptedJournaledBeforeRun(t *testing.T) {
+	dataDir := t.TempDir()
+	started := make(chan int64, 2) // journal appends seen as each job starts
+	release := make(chan struct{})
+	var s *Server
+	s, ts := newTestServer(t, Options{
+		Workers: 1, QueueDepth: 1, DataDir: dataDir,
+		testJobStart: func(*job) {
+			started <- s.journal.appends.Load()
+			<-release
+		},
+	})
+	body := func(seed int) string {
+		return fmt.Sprintf(`{"design":"alu","arch":{"kind":"granular"},"seed":%d}`, seed)
+	}
+
+	s.journal.mu.Lock()
+	posted := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body(1)))
+		if err != nil {
+			posted <- 0
+			return
+		}
+		resp.Body.Close()
+		posted <- resp.StatusCode
+	}()
+	select {
+	case <-started:
+		s.journal.mu.Unlock()
+		close(release)
+		t.Fatal("a worker started the job before its accepted entry was journaled")
+	case <-time.After(200 * time.Millisecond):
+	}
+	s.journal.mu.Unlock()
+	if code := <-posted; code != http.StatusAccepted {
+		close(release)
+		t.Fatalf("job 1: status %d", code)
+	}
+	if n := <-started; n != 1 {
+		close(release)
+		t.Fatalf("job 1 started after %d journal appends, want its accepted entry (1)", n)
+	}
+
+	// Job 1 holds the worker: job 2 fills the queue, job 3 is refused.
+	resp2, jr2 := postJSON(t, ts, "/v1/runs", body(2))
+	resp3, _ := postJSON(t, ts, "/v1/runs", body(3))
+	close(release)
+	if resp2.StatusCode != http.StatusAccepted || resp3.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("job 2 status %d, job 3 status %d; want 202 and 429", resp2.StatusCode, resp3.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	jn, entries, err := openJournal(filepath.Join(dataDir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn.close()
+	states := map[string][]string{}
+	for _, e := range entries {
+		states[e.ID] = append(states[e.ID], e.State)
+	}
+	if len(states) != 2 {
+		t.Fatalf("journal holds %d jobs (%v), want the 2 accepted ones", len(states), states)
+	}
+	for id, st := range states {
+		if strings.Join(st, ",") != "accepted,running,done" {
+			t.Errorf("job %s journaled states %v, want accepted,running,done", id, st)
+		}
+	}
+	if _, ok := states[jr2.ID]; !ok {
+		t.Errorf("job 2 (%s) missing from the journal: %v", jr2.ID, states)
+	}
+}
+
 // TestReplayedJobsServeStatusAndSSE is the restart-observability
 // satellite: every journal-replayed job must be pollable AND must
 // serve its SSE stream immediately after startup — including jobs the

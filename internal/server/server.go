@@ -732,32 +732,35 @@ func (s *Server) newJob(kind, key, label string, exec func(context.Context, *obs
 // submit enqueues a job with explicit backpressure: a full queue is a
 // 429 with Retry-After, a draining server a 503 — submissions never
 // block a worker or the caller. An accepted job is journaled (fsync)
-// before the acceptance is visible; a journal failure after bounded
-// retry is availability-over-durability — the job still runs, it just
-// would not survive a crash, and the error counter records the gap.
+// before the acceptance is visible, to clients and to workers alike,
+// so a worker's "running" entry always follows it; a full queue
+// journals nothing. A journal failure after bounded retry is
+// availability-over-durability — the job still runs, it just would
+// not survive a crash, and the error counter records the gap.
 func (s *Server) submit(j *job) (status int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return http.StatusServiceUnavailable, errors.New("server is draining")
 	}
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		if j.key != "" {
-			s.inflight[j.key] = j
-		}
-		if s.journal != nil && j.body != nil {
-			e := journalEntry{ID: j.id, State: "accepted", Kind: j.kind, Key: j.key, Body: j.body}
-			s.retryIO(func() error { return s.journal.append(e, true) })
-		}
-		s.log.Info("job accepted", "job_id", j.id, "kind", j.kind, "label", j.label, "trace_id", j.traceID)
-		return 0, nil
-	default:
+	// Every queue sender holds s.mu and workers only drain, so a free
+	// slot seen here is still free at the send below.
+	if len(s.queue) >= cap(s.queue) {
 		s.rejected.Add(1)
 		return http.StatusTooManyRequests,
 			fmt.Errorf("queue full (%d pending); retry later", cap(s.queue))
 	}
+	if s.journal != nil && j.body != nil {
+		e := journalEntry{ID: j.id, State: "accepted", Kind: j.kind, Key: j.key, Body: j.body}
+		s.retryIO(func() error { return s.journal.append(e, true) })
+	}
+	s.jobs[j.id] = j
+	if j.key != "" {
+		s.inflight[j.key] = j
+	}
+	s.queue <- j
+	s.log.Info("job accepted", "job_id", j.id, "kind", j.kind, "label", j.label, "trace_id", j.traceID)
+	return 0, nil
 }
 
 // decodeJSON strictly decodes a bounded request body.
