@@ -333,7 +333,8 @@ func BenchmarkRoutingArchitectureSweep(b *testing.B) {
 	var pts []core.RoutingPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = core.RoutingSweep(context.Background(), bench.ALU(8), cells.GranularPLB(), []int{4, 8, 16, 32}, 3)
+		pts, err = core.RunRoutingSweep(context.Background(), bench.ALU(8), cells.GranularPLB(), []int{4, 8, 16, 32},
+			core.SweepOptions{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}

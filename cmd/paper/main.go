@@ -237,7 +237,7 @@ func main() {
 
 	if *routing {
 		pts, err := core.RunRoutingSweep(ctx, suite.ALU, cells.GranularPLB(), []int{4, 8, 16, 32, 64},
-			core.SweepOptions{Seed: *seed, PlaceWorkers: *placeWorkers, Trace: tracer})
+			core.SweepOptions{Seed: *seed, Parallel: *parallel, PlaceWorkers: *placeWorkers, Trace: tracer})
 		if err != nil {
 			fatalf("%v", err)
 		}

@@ -2,7 +2,9 @@ package cells
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"vpga/internal/logic"
 )
@@ -38,6 +40,9 @@ type PLBArch struct {
 
 	lib       *Library
 	configIdx map[string]*Config
+
+	legalOnce sync.Once
+	legal     *legality
 }
 
 // Library returns the shared component library.
@@ -211,9 +216,36 @@ func (a *PLBArch) ConfigsFor(fn logic.TT) []*Config {
 
 // CanPack reports whether one PLB can host all the given configuration
 // instances simultaneously: every required role must be matched to a
-// distinct slot that serves it. The search is an exact backtracking
-// matcher; PLBs have at most a handful of slots.
+// distinct slot that serves it. The answer depends only on the
+// multiset of roles demanded, so it is memoized per architecture by a
+// role-count signature; a miss runs the exact matcher. Safe for
+// concurrent use.
 func (a *PLBArch) CanPack(instances []*Config) bool {
+	l := a.legality()
+	sig, ok := l.signature(instances)
+	if !ok {
+		return false
+	}
+	if !l.memoized {
+		return a.canPackExact(instances)
+	}
+	l.mu.RLock()
+	fits, hit := l.memo[sig]
+	l.mu.RUnlock()
+	if hit {
+		return fits
+	}
+	fits = a.canPackExact(instances)
+	l.mu.Lock()
+	l.memo[sig] = fits
+	l.mu.Unlock()
+	return fits
+}
+
+// canPackExact is CanPack's cold path and test oracle: an exact
+// backtracking matcher over the demanded roles, scarcest first. PLBs
+// have at most a handful of slots.
+func (a *PLBArch) canPackExact(instances []*Config) bool {
 	var demands []Role
 	for _, inst := range instances {
 		demands = append(demands, inst.Roles...)
@@ -222,16 +254,8 @@ func (a *PLBArch) CanPack(instances []*Config) bool {
 		return false
 	}
 	// Order demands by scarcity (fewest serving slots first) to prune.
-	serveCount := func(r Role) int {
-		n := 0
-		for _, s := range a.Slots {
-			if s.serves(r) {
-				n++
-			}
-		}
-		return n
-	}
-	sort.SliceStable(demands, func(i, j int) bool { return serveCount(demands[i]) < serveCount(demands[j]) })
+	scarcity := a.legality().scarcity
+	sort.SliceStable(demands, func(i, j int) bool { return scarcity[demands[i]] < scarcity[demands[j]] })
 	used := make([]bool, len(a.Slots))
 	var match func(i int) bool
 	match = func(i int) bool {
@@ -251,6 +275,67 @@ func (a *PLBArch) CanPack(instances []*Config) bool {
 		return false
 	}
 	return match(0)
+}
+
+// legality is an architecture's precomputed slot-matching data: how
+// many slots serve each role, and the memo of CanPack answers keyed by
+// role-count signature.
+type legality struct {
+	roles    []Role       // every role some slot serves
+	scarcity map[Role]int // number of slots serving each role
+	slots    int
+	width    uint // bits per role count in a signature
+	memoized bool // the signature fits in 64 bits
+
+	mu   sync.RWMutex
+	memo map[uint64]bool
+}
+
+// legality builds the architecture's matching data on first use.
+func (a *PLBArch) legality() *legality {
+	a.legalOnce.Do(func() {
+		l := &legality{scarcity: map[Role]int{}, slots: len(a.Slots),
+			width: uint(bits.Len(uint(len(a.Slots)))), memo: map[uint64]bool{}}
+		for _, s := range a.Slots {
+			for _, r := range s.Serves {
+				if l.scarcity[r] == 0 {
+					l.roles = append(l.roles, r)
+				}
+				l.scarcity[r]++
+			}
+		}
+		l.memoized = l.width*uint(len(l.roles)) <= 64
+		a.legal = l
+	})
+	return a.legal
+}
+
+// signature packs the per-role demand counts of instances into one
+// word, width bits per role, without allocating. ok is false when the
+// instances cannot fit in any case: a role no slot serves, or more
+// demands than slots. Counts never exceed the slot count, so fields
+// never overflow into their neighbours.
+func (l *legality) signature(instances []*Config) (sig uint64, ok bool) {
+	total := 0
+	for _, inst := range instances {
+		for _, r := range inst.Roles {
+			ri := -1
+			for i, x := range l.roles {
+				if x == r {
+					ri = i
+					break
+				}
+			}
+			total++
+			if ri < 0 || total > l.slots {
+				return 0, false
+			}
+			if l.memoized {
+				sig += 1 << (uint(ri) * l.width)
+			}
+		}
+	}
+	return sig, true
 }
 
 // SlotSummary renders the slot composition, e.g.

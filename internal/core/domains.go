@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"vpga/internal/bench"
 	"vpga/internal/cells"
@@ -74,34 +73,14 @@ func RunDomainExplore(ctx context.Context, domains []bench.Design, archs []*cell
 		areaDelay := make([]float64, len(archs))
 		areaDelay[0] = ad0
 
-		var (
-			sem      = make(chan struct{}, opts.workers())
-			mu       sync.Mutex
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		for i := 1; i < len(archs); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				pt, _, ad, err := point(archs[i], clock)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				res.Points[i] = pt
-				areaDelay[i] = ad
-			}(i)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+		// Points write disjoint entries; archs[0] already ran.
+		err = fanOut(len(archs)-1, opts.workers(), func(k int) error {
+			pt, _, ad, err := point(archs[k+1], clock)
+			res.Points[k+1], areaDelay[k+1] = pt, ad
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		// Winner selection stays in arch order, so ties resolve
 		// identically at any parallelism.

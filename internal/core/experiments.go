@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vpga/internal/bench"
@@ -679,6 +680,35 @@ func (o SweepOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// fanOut runs fn(i) for every i in [0, n) on at most workers
+// goroutines, starting calls in index order. Every call runs even if
+// another fails; the returned error is that of the lowest failing
+// index, so callers that write results by index get the same output
+// and error at any width.
+func fanOut(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // GranularitySweep is the deprecated positional-seed form of
 // RunGranularitySweep.
 //
@@ -690,7 +720,8 @@ func GranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLBArc
 // RunGranularitySweep runs one design across a family of PLB
 // architectures of increasing granularity (experiment E8). The first
 // architecture pins the clock period; the remaining points then run
-// concurrently (bounded by opts.Parallel) with deterministic results.
+// concurrently (bounded by opts.Parallel) with deterministic results
+// and errors.
 func RunGranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLBArch, opts SweepOptions) ([]SweepPoint, error) {
 	if len(archs) == 0 {
 		return nil, nil
@@ -718,34 +749,14 @@ func RunGranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLB
 		return nil, err
 	}
 	out[0] = first
-
-	var (
-		sem      = make(chan struct{}, opts.workers())
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for i := 1; i < len(archs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pt, _, err := point(archs[i], clock)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			out[i] = pt
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	// Points write disjoint entries of out; archs[0] already ran.
+	err = fanOut(len(archs)-1, opts.workers(), func(k int) error {
+		pt, _, err := point(archs[k+1], clock)
+		out[k+1] = pt
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

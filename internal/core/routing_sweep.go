@@ -34,15 +34,22 @@ func RoutingSweep(ctx context.Context, d bench.Design, arch *cells.PLBArch, capa
 // exploring regular routing architectures for the VPGA fabric"): the
 // design is placed and packed once, then routed under a range of
 // per-channel track capacities, reporting congestion, detour cost and
-// post-layout timing at each point. The capacity points share one
-// placement problem, so they route sequentially; opts.Parallel has no
-// effect here.
+// post-layout timing at each point.
+//
+// The capacity points are independent: route.Route and sta.Analyze
+// only read the flow's packed placement (art.Prob) and implementation
+// netlist (art.Impl), whose fanout index the flow's own post-layout
+// STA has already built. They therefore route concurrently on at most
+// opts.Parallel goroutines, each point running its own route, STA and
+// track assignment. Results are indexed by capacity and the error of
+// the first failing capacity wins, so output and errors are
+// bit-identical at any width.
 func RunRoutingSweep(ctx context.Context, d bench.Design, arch *cells.PLBArch, capacities []int, opts SweepOptions) ([]RoutingPoint, error) {
 	run := opts.Trace.NewRun("routing/" + d.Name + "/" + arch.Name)
 	defer run.Close()
 	// One pool serves the flow run and every capacity point: the grid
-	// shape never changes, so all routes after the first reuse one
-	// ready-sized State.
+	// shape never changes, so each concurrent route checks out a
+	// ready-sized State and the pool holds at most opts.Parallel.
 	pool := route.NewPool()
 	rep, art, err := RunFlowFull(ctx, d, Config{Arch: arch, Flow: FlowB, Seed: opts.Seed,
 		PlaceWorkers: opts.PlaceWorkers, Trace: run,
@@ -50,25 +57,36 @@ func RunRoutingSweep(ctx context.Context, d bench.Design, arch *cells.PLBArch, c
 	if err != nil {
 		return nil, err
 	}
-	var out []RoutingPoint
-	for _, cap := range capacities {
-		routes, err := route.Route(art.Prob, route.Options{Capacity: cap, Ctx: ctx, Pool: pool})
+	// Only the placement and the netlist are kept: the flow's own
+	// routes and pack result are garbage before the points route.
+	prob, impl := art.Prob, art.Impl
+	var out []RoutingPoint // nil, not empty, for a sweep without points
+	if len(capacities) > 0 {
+		out = make([]RoutingPoint, len(capacities))
+	}
+	err = fanOut(len(capacities), opts.workers(), func(i int) error {
+		cap := capacities[i]
+		routes, err := route.Route(prob, route.Options{Capacity: cap, Ctx: ctx, Pool: pool})
 		if err != nil {
-			return nil, fmt.Errorf("routing sweep capacity %d: %w", cap, err)
+			return fmt.Errorf("routing sweep capacity %d: %w", cap, err)
 		}
-		post, err := sta.Analyze(art.Impl, arch, art.Prob, routes, sta.Options{ClockPeriod: rep.ClockPeriod})
+		post, err := sta.Analyze(impl, arch, prob, routes, sta.Options{ClockPeriod: rep.ClockPeriod})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ta := routes.AssignTracks()
-		out = append(out, RoutingPoint{
+		out[i] = RoutingPoint{
 			Capacity:    cap,
 			Wirelength:  routes.Total,
 			Overflow:    routes.Overflow,
 			RoutingVias: ta.RoutingVias,
 			PeakTrack:   ta.PeakTrack,
 			AvgTopSlack: post.AvgTopSlack,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -67,6 +67,11 @@ type packer struct {
 	pitch  float64
 	rows   int
 	cols   int
+
+	// Slot types for aggFeasible's max-flow, by component name in
+	// sorted order: the roles each type serves and its slots per PLB.
+	slotServes [][]cells.Role
+	slotCount  []int
 }
 
 // Run packs the compacted netlist's placement into the smallest PLB
@@ -174,6 +179,26 @@ func (p *packer) roleDemand(objs []int32) map[cells.Role]int {
 	return d
 }
 
+// slotTypes groups the architecture's slots by component name for
+// aggFeasible, which calls it once per packer.
+func (p *packer) slotTypes() {
+	serves := map[string][]cells.Role{}
+	count := map[string]int{}
+	for _, s := range p.arch.Slots {
+		serves[s.Component] = s.Serves
+		count[s.Component]++
+	}
+	types := make([]string, 0, len(serves))
+	for k := range serves {
+		types = append(types, k)
+	}
+	sort.Strings(types)
+	for _, t := range types {
+		p.slotServes = append(p.slotServes, serves[t])
+		p.slotCount = append(p.slotCount, count[t])
+	}
+}
+
 // aggFeasible checks by max-flow whether numPLBs PLBs can satisfy the
 // aggregate role demand (per-PLB integrality is enforced later at the
 // leaves).
@@ -185,33 +210,24 @@ func (p *packer) aggFeasible(demand map[cells.Role]int, numPLBs int) bool {
 		total += n
 	}
 	sort.Slice(roles, func(i, j int) bool { return roles[i] < roles[j] })
-	slotTypes := map[string][]cells.Role{}
-	slotCount := map[string]int{}
-	for _, s := range p.arch.Slots {
-		key := s.Component
-		slotTypes[key] = s.Serves
-		slotCount[key]++
+	if p.slotServes == nil {
+		p.slotTypes()
 	}
-	types := make([]string, 0, len(slotTypes))
-	for k := range slotTypes {
-		types = append(types, k)
-	}
-	sort.Strings(types)
 	// Nodes: 0 source, 1 sink, 2..1+len(roles) roles, then slot types.
-	g := flowmap.NewDinic(2 + len(roles) + len(types))
+	g := flowmap.NewDinic(2 + len(roles) + len(p.slotServes))
 	for i, r := range roles {
 		g.AddEdge(0, 2+i, int64(demand[r]))
-		for j, tname := range types {
-			for _, serves := range slotTypes[tname] {
-				if serves == r {
+		for j, serves := range p.slotServes {
+			for _, sr := range serves {
+				if sr == r {
 					g.AddEdge(2+i, 2+len(roles)+j, flowmap.Inf)
 					break
 				}
 			}
 		}
 	}
-	for j, tname := range types {
-		g.AddEdge(2+len(roles)+j, 1, int64(slotCount[tname]*numPLBs))
+	for j, n := range p.slotCount {
+		g.AddEdge(2+len(roles)+j, 1, int64(n*numPLBs))
 	}
 	return g.MaxFlow(0, 1, -1) >= int64(total)
 }

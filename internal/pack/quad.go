@@ -229,8 +229,9 @@ func (p *packer) resolveLeaves(pos []coord, assign []int) error {
 		}
 		occupants[assign[i]] = append(occupants[assign[i]], int32(i))
 	}
+	var scratch []*cells.Config // reused by canHost across candidates
 	canHost := func(plb int, extra int32) bool {
-		var cfgs []*cells.Config
+		cfgs := scratch[:0]
 		for _, o := range occupants[plb] {
 			if c := p.objCfg[o]; c != nil {
 				cfgs = append(cfgs, c)
@@ -239,6 +240,7 @@ func (p *packer) resolveLeaves(pos []coord, assign []int) error {
 		if c := p.objCfg[extra]; c != nil {
 			cfgs = append(cfgs, c)
 		}
+		scratch = cfgs
 		return p.arch.CanPack(cfgs)
 	}
 	for plb := 0; plb < n; plb++ {

@@ -605,7 +605,7 @@ func (r *router) routeNet(ni int, presentFactor float64) error {
 	st.inTree[r.cellOf(src)] = te
 	treeList := st.treeList[:0]
 	treeList = append(treeList, src)
-	var edges []edgeRef
+	edges := st.edgeBuf[:0]
 	grow := func(p point) {
 		if c := r.cellOf(p); st.inTree[c] != te {
 			st.inTree[c] = te
@@ -639,7 +639,7 @@ func (r *router) routeNet(ni int, presentFactor float64) error {
 			path, err = r.astar(te, treeList, sink, presentFactor, -1)
 		}
 		if err != nil {
-			st.treeList, st.sinks = treeList[:0], sinks[:0]
+			st.treeList, st.sinks, st.edgeBuf = treeList[:0], sinks[:0], edges[:0]
 			return err
 		}
 		for i := 0; i+1 < len(path); i++ {
@@ -651,8 +651,10 @@ func (r *router) routeNet(ni int, presentFactor float64) error {
 		}
 		grow(sink)
 	}
-	st.treeList, st.sinks = treeList[:0], sinks[:0]
-	r.netEdges[ni] = edges
+	st.treeList, st.sinks, st.edgeBuf = treeList[:0], sinks[:0], edges[:0]
+	// A fresh exact-size slice per route: best-iteration snapshots
+	// share the old one, so it is never overwritten.
+	r.netEdges[ni] = append([]edgeRef(nil), edges...)
 	return nil
 }
 

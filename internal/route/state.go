@@ -41,6 +41,7 @@ type State struct {
 	treeList  []point
 	sinks     []point
 	pathBuf   []point
+	edgeBuf   []edgeRef
 }
 
 // epochGuard bounds the stamp epochs: past it the stamp arrays are
@@ -105,8 +106,10 @@ func (st *State) prepare(nx, ny, nets int) {
 // Pool hands out router States for reuse across runs. Matrix cells and
 // sweeps routing many designs on similarly-shaped grids share one pool
 // so each run stops paying allocation plus zeroing for the full
-// scratch set. A nil *Pool is valid and simply allocates per run; all
-// methods are safe for concurrent use.
+// scratch set. The pool keeps as many States as runs ever overlapped,
+// so a sweep routing on N goroutines holds up to N. A nil *Pool is
+// valid and simply allocates per run; all methods are safe for
+// concurrent use.
 type Pool struct {
 	mu   sync.Mutex
 	free []*State

@@ -86,22 +86,17 @@ func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, rout
 		return nil, err
 	}
 
-	// Map driver node -> (net index, sink object index -> position).
-	type netRef struct {
-		idx  int
-		sink map[int32]int
-	}
-	netOf := map[netlist.NodeID]netRef{}
+	// netOf maps a driver node to the net it drives (-1: none). When
+	// several nets share a driver object, the last one wins.
+	var netOf []int32
 	if prob != nil && routes != nil {
+		netOf = make([]int32, nl.NumNodes())
+		for i := range netOf {
+			netOf[i] = -1
+		}
 		for ni := range prob.Nets {
-			n := &prob.Nets[ni]
-			ref := netRef{idx: ni, sink: map[int32]int{}}
-			for k, oi := range n.Objs[1:] {
-				ref.sink[oi] = k
-			}
-			driver := n.Objs[0]
-			for _, nodeID := range prob.Objs[driver].Nodes {
-				netOf[nodeID] = ref
+			for _, nodeID := range prob.Objs[prob.Nets[ni].Objs[0]].Nodes {
+				netOf[nodeID] = int32(ni)
 			}
 		}
 	}
@@ -109,24 +104,24 @@ func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, rout
 	// wireDelayCap returns the wire delay from driver node f to sink
 	// node g and the driver's total wire capacitance.
 	wireDelayCap := func(f, g netlist.NodeID) (float64, float64) {
-		if prob == nil || routes == nil {
+		if netOf == nil || netOf[f] < 0 {
 			return 0, 0
 		}
-		ref, ok := netOf[f]
-		if !ok {
-			return 0, 0
-		}
+		ni := int(netOf[f])
 		sinkObj := prob.ObjIndex(g)
 		if sinkObj < 0 {
-			return 0, routes.NetCap(ref.idx)
+			return 0, routes.NetCap(ni)
 		}
-		k, ok := ref.sink[sinkObj]
-		if !ok {
-			// Same placement object (e.g. inside an FA macro): no wire.
-			return 0, routes.NetCap(ref.idx)
+		// The sink's position on the net: the last one when the object
+		// is listed twice.
+		sinks := prob.Nets[ni].Objs[1:]
+		for k := len(sinks) - 1; k >= 0; k-- {
+			if sinks[k] == sinkObj {
+				return routes.WireRC(ni, k)
+			}
 		}
-		d, c := routes.WireRC(ref.idx, k)
-		return d, c
+		// Same placement object (e.g. inside an FA macro): no wire.
+		return 0, routes.NetCap(ni)
 	}
 
 	// Load capacitance per driver: sink pin caps + wire cap.
@@ -145,10 +140,8 @@ func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, rout
 				total += 4 // pad load
 			}
 		}
-		if prob != nil && routes != nil {
-			if ref, ok := netOf[id]; ok {
-				total += routes.NetCap(ref.idx)
-			}
+		if netOf != nil && netOf[id] >= 0 {
+			total += routes.NetCap(int(netOf[id]))
 		}
 		return total
 	}
