@@ -115,7 +115,7 @@ func BenchmarkCompactionAreaReduction(b *testing.B) {
 		total, n = 0, 0
 		for _, d := range suite.All() {
 			for _, arch := range []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()} {
-				rep, err := core.RunFlow(context.Background(), d, core.Config{Arch: arch, Flow: core.FlowA, Seed: 1, PlaceEffort: 2})
+				rep, _, err := core.RunConfig(context.Background(), d, core.Config{Arch: arch, Flow: core.FlowA, Seed: 1, PlaceEffort: 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -133,7 +133,7 @@ func BenchmarkFullAdderPacking(b *testing.B) {
 	d := bench.ALU(8)
 	fas := 0
 	for i := 0; i < b.N; i++ {
-		rep, err := core.RunFlow(context.Background(), d, core.Config{Arch: cells.GranularPLB(), Flow: core.FlowB, Seed: 2, PlaceEffort: 2})
+		rep, _, err := core.RunConfig(context.Background(), d, core.Config{Arch: cells.GranularPLB(), Flow: core.FlowB, Seed: 2, PlaceEffort: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func BenchmarkGranularitySweep(b *testing.B) {
 	var pts []core.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = core.GranularitySweep(context.Background(), d, core.DefaultSweepArchs(), 3)
+		pts, err = core.RunGranularitySweep(context.Background(), d, core.DefaultSweepArchs(), core.SweepOptions{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func BenchmarkStageCachePrefixDepth(b *testing.B) {
 		depth3 += timeReq(retarget, 3)
 
 		// Routing knobs live on Config (the repair ladder's widening
-		// rungs), so the depth-4 point goes through RunFlow directly.
+		// rungs), so the depth-4 point goes through RunConfig directly.
 		d, cfg, err := base.Resolve()
 		if err != nil {
 			b.Fatal(err)
@@ -397,7 +397,7 @@ func BenchmarkStageCachePrefixDepth(b *testing.B) {
 		cfg.RouteCapacityScale = 1.25
 		cfg.Stages = stages
 		start := time.Now()
-		rep, err := core.RunFlow(ctx, d, cfg)
+		rep, _, err := core.RunConfig(ctx, d, cfg)
 		depth4 += time.Since(start)
 		if err != nil {
 			b.Fatal(err)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	vpgaflow -design alu|firewire|fpu|switch -arch granular|lut -flow a|b
+//	vpgaflow -design alu|firewire|fpu|switch|fir -arch granular|lut -flow a|b
 //	         [-scale test|paper] [-seed N] [-effort N] [-clock PS]
 //	         [-verify] [-skip-compaction] [-trace out.json]
 //	vpgaflow -rtl file.v -arch granular -flow b     # custom RTL input
@@ -25,7 +25,9 @@
 // -print-request skips the run and prints the canonical (normalized)
 // encoding of the request plus its content-address cache key and
 // per-stage key chain; combined with the ordinary flags it converts a
-// flag invocation into a service request.
+// flag invocation into a service request. Flag invocations run as that
+// request, through core.Run, so a flag run and `-request` of its
+// printed request report the same result.
 //
 // -stage-cache DIR opens (or creates) a stage-granular build cache at
 // DIR: every stage boundary — mapped netlist, compacted netlist,
@@ -48,10 +50,7 @@ import (
 	"os/signal"
 
 	"vpga/internal/artifact"
-	"vpga/internal/bench"
-	"vpga/internal/cells"
 	"vpga/internal/core"
-	"vpga/internal/defect"
 	"vpga/internal/obs"
 )
 
@@ -64,7 +63,7 @@ func main() {
 		clusterMain(os.Args[2:])
 		return
 	}
-	design := flag.String("design", "alu", "benchmark: alu, firewire, fpu, switch")
+	design := flag.String("design", "alu", "benchmark: alu, firewire, fpu, switch, fir")
 	rtlFile := flag.String("rtl", "", "compile this RTL file instead of a benchmark")
 	archName := flag.String("arch", "granular", "PLB architecture: granular or lut")
 	flowName := flag.String("flow", "b", "flow a (ASIC, no packing) or b (full PLB array)")
@@ -101,131 +100,70 @@ func main() {
 		stages = core.NewStageCache(store)
 	}
 
-	if *requestFile != "" || *printRequest {
-		var req core.FlowRequest
-		if *requestFile != "" {
-			req = readRequest(*requestFile)
-		} else {
-			// Convert the flag invocation into a service request.
-			req = core.FlowRequest{
-				Design: *design, Scale: *scale,
-				Arch: core.ArchSpec{Kind: *archName}, Flow: *flowName,
-				Seed: *seed, ClockPeriod: *clock, PlaceEffort: *effort,
-				SkipCompaction: *skipCompact, Verify: *verify,
-				DefectRate: *defectRate,
-			}
-			if *rtlFile != "" {
-				src, err := os.ReadFile(*rtlFile)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				req.Design = ""
-				req.RTL, req.Name = string(src), *rtlFile
-			}
-			if *defectRate > 0 {
-				req.DefectSeed = *defectSeed
-			}
+	var req core.FlowRequest
+	if *requestFile != "" {
+		req = readRequest(*requestFile)
+	} else {
+		// Every flag invocation runs as a service request would.
+		req = core.FlowRequest{
+			Design: *design, Scale: *scale,
+			Arch: core.ArchSpec{Kind: *archName}, Flow: *flowName,
+			Seed: *seed, ClockPeriod: *clock, PlaceEffort: *effort,
+			SkipCompaction: *skipCompact, Verify: *verify,
+			DefectRate: *defectRate,
 		}
-		if *floorplan != "" || *netlistOut != "" {
-			fatalf("-floorplan/-netlist are unavailable with -request/-print-request")
-		}
-		if *printRequest {
-			key, err := req.CacheKey()
+		if *rtlFile != "" {
+			src, err := os.ReadFile(*rtlFile)
 			if err != nil {
 				fatalf("%v", err)
 			}
-			keys, err := req.StageKeys()
-			if err != nil {
-				fatalf("%v", err)
-			}
-			enc, err := json.MarshalIndent(req.Normalize(), "", "  ")
-			if err != nil {
-				fatalf("%v", err)
-			}
-			// Canonical JSON on stdout; derived keys on stderr, so the
-			// stdout document stays a valid request body.
-			fmt.Printf("%s\n", enc)
-			fmt.Fprintf(os.Stderr, "cache key: %s\n", key)
-			for _, sk := range keys {
-				fmt.Fprintf(os.Stderr, "stage %-8s %s\n", sk.Stage, sk.Key)
-			}
-			return
+			req.Design = ""
+			req.RTL, req.Name = string(src), *rtlFile
 		}
-		runRequest(ctx, req, *traceFile, stages)
-		return
+		if *defectRate > 0 {
+			req.DefectSeed = *defectSeed
+		}
 	}
-
-	var arch *cells.PLBArch
-	switch *archName {
-	case "granular":
-		arch = cells.GranularPLB()
-	case "lut":
-		arch = cells.LUTPLB()
-	default:
-		fatalf("unknown arch %q (want granular or lut)", *archName)
-	}
-	var flow core.FlowKind
-	switch *flowName {
-	case "a":
-		flow = core.FlowA
-	case "b":
-		flow = core.FlowB
-	default:
-		fatalf("unknown flow %q (want a or b)", *flowName)
-	}
-
-	var d bench.Design
-	if *rtlFile != "" {
-		src, err := os.ReadFile(*rtlFile)
+	wantArtifacts := *floorplan != "" || *netlistOut != ""
+	if *printRequest {
+		if wantArtifacts {
+			fatalf("-floorplan/-netlist are unavailable with -print-request")
+		}
+		key, err := req.CacheKey()
 		if err != nil {
 			fatalf("%v", err)
 		}
-		d = bench.Design{Name: *rtlFile, RTL: string(src)}
-	} else {
-		suite := bench.TestSuite()
-		if *scale == "paper" {
-			suite = bench.PaperSuite()
+		keys, err := req.StageKeys()
+		if err != nil {
+			fatalf("%v", err)
 		}
-		switch *design {
-		case "alu":
-			d = suite.ALU
-		case "firewire":
-			d = suite.Firewire
-		case "fpu":
-			d = suite.FPU
-		case "switch":
-			d = suite.Switch
-		default:
-			fatalf("unknown design %q", *design)
+		enc, err := json.MarshalIndent(req.Normalize(), "", "  ")
+		if err != nil {
+			fatalf("%v", err)
 		}
+		// Canonical JSON on stdout; derived keys on stderr, so the
+		// stdout document stays a valid request body.
+		fmt.Printf("%s\n", enc)
+		fmt.Fprintf(os.Stderr, "cache key: %s\n", key)
+		for _, sk := range keys {
+			fmt.Fprintf(os.Stderr, "stage %-8s %s\n", sk.Stage, sk.Key)
+		}
+		return
+	}
+	if wantArtifacts && req.DefectRate > 0 {
+		// The repair ladder reports without artifacts.
+		fatalf("-floorplan/-netlist are unavailable with -defect-rate")
 	}
 
-	cfg := core.Config{
-		Arch: arch, Flow: flow, ClockPeriod: *clock, Seed: *seed,
-		PlaceEffort: *effort, Verify: *verify, SkipCompaction: *skipCompact,
-		Stages: stages,
-	}
 	var tracer *obs.Tracer
+	var run *obs.Run
 	if *traceFile != "" {
 		tracer = obs.NewTracer()
-		cfg.Trace = tracer.NewRun(d.Name + "/" + arch.Name + "/" + flow.String())
+		n := req.Normalize()
+		run = tracer.NewRun(n.Design + n.Name + "/" + n.Arch.Kind + "/flow " + n.Flow)
 	}
-	var rep *core.Report
-	var art *core.Artifacts
-	var err error
-	if *defectRate > 0 {
-		// Defective fabric: run through the repair ladder. The floorplan
-		// and netlist outputs need artifacts, which the repair path does
-		// not expose, so they are unavailable here.
-		cfg.Defects = defect.New(*defectSeed, *defectRate)
-		rep, err = core.RunFlowRepair(ctx, d, cfg)
-		if err == nil && (*floorplan != "" || *netlistOut != "") {
-			fatalf("-floorplan/-netlist are unavailable with -defect-rate")
-		}
-	} else {
-		rep, art, err = core.RunFlowFull(ctx, d, cfg)
-	}
-	cfg.Trace.Close()
+	res, err := core.Run(ctx, req, core.ExecOptions{Trace: run, Stages: stages, WantArtifacts: wantArtifacts})
+	run.Close()
 	if tracer != nil {
 		if werr := tracer.WriteChromeTraceFile(*traceFile); werr != nil {
 			fatalf("trace: %v", werr)
@@ -236,6 +174,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	rep, art := res.Report, res.Artifacts
 	printReport(rep)
 	if *netlistOut != "" {
 		f, err := os.Create(*netlistOut)
@@ -282,29 +221,6 @@ func readRequest(path string) core.FlowRequest {
 		fatalf("request %s: %v", path, err)
 	}
 	return req
-}
-
-// runRequest executes a FlowRequest exactly as vpgad would.
-func runRequest(ctx context.Context, req core.FlowRequest, traceFile string, stages *core.StageCache) {
-	var tracer *obs.Tracer
-	var run *obs.Run
-	if traceFile != "" {
-		tracer = obs.NewTracer()
-		n := req.Normalize()
-		run = tracer.NewRun(n.Design + n.Name + "/" + n.Arch.Kind + "/flow " + n.Flow)
-	}
-	res, err := core.Run(ctx, req, core.ExecOptions{Trace: run, Stages: stages})
-	run.Close()
-	if tracer != nil {
-		if werr := tracer.WriteChromeTraceFile(traceFile); werr != nil {
-			fatalf("trace: %v", werr)
-		}
-		fmt.Fprint(os.Stderr, tracer.SummaryTable())
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	printReport(res.Report)
 }
 
 func printReport(r *core.Report) {

@@ -26,14 +26,14 @@ func ckptStore(t *testing.T) *artifact.Store {
 func runWithStore(t *testing.T, req FlowRequest, store *artifact.Store) (*Report, int64) {
 	t.Helper()
 	run := obs.NewTracer().NewRun(req.Design + "/" + req.Flow)
-	rep, err := RunRequestExec(context.Background(), req,
-		ExecOptions{Trace: run, Checkpoints: store})
+	res, err := Run(context.Background(), req,
+		ExecOptions{Trace: run, Stages: NewStageCache(store)})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	proposed := run.SolverMetrics().AnnealProposed
-	rep.StripMetrics()
-	return rep, proposed
+	res.Report.StripMetrics()
+	return res.Report, proposed
 }
 
 // TestPlaceCheckpointResume is the tentpole's resume property: a run
@@ -43,10 +43,11 @@ func runWithStore(t *testing.T, req FlowRequest, store *artifact.Store) (*Report
 func TestPlaceCheckpointResume(t *testing.T) {
 	req := FlowRequest{Design: "alu", Arch: ArchSpec{Kind: "granular"},
 		Flow: "b", Seed: 11, PlaceEffort: 2}
-	cold, err := RunRequest(context.Background(), req, nil)
+	res, err := Run(context.Background(), req, ExecOptions{})
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
+	cold := res.Report
 	cold.StripMetrics()
 
 	store := ckptStore(t)

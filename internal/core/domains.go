@@ -22,14 +22,6 @@ type DomainResult struct {
 	BestAreaDelay float64
 }
 
-// DomainExplore is the deprecated positional-seed form of
-// RunDomainExplore.
-//
-// Deprecated: use RunDomainExplore with SweepOptions.
-func DomainExplore(ctx context.Context, domains []bench.Design, archs []*cells.PLBArch, seed int64) ([]DomainResult, error) {
-	return RunDomainExplore(ctx, domains, archs, SweepOptions{Seed: seed})
-}
-
 // RunDomainExplore runs the paper's proposed future work (Sec. 4:
 // "the optimal combination of these logic elements, and the optimal
 // ratio of combinational to sequential logic elements varies with the
@@ -50,7 +42,7 @@ func RunDomainExplore(ctx context.Context, domains []bench.Design, archs []*cell
 		}
 		point := func(arch *cells.PLBArch, clock float64) (SweepPoint, float64, float64, error) {
 			run := opts.Trace.NewRun("domain/" + d.Name + "/" + arch.Name)
-			rep, err := RunFlow(ctx, d, Config{Arch: arch, Flow: FlowB, ClockPeriod: clock,
+			rep, _, err := execFlow(ctx, d, Config{Arch: arch, Flow: FlowB, ClockPeriod: clock,
 				Seed: opts.Seed, PlaceWorkers: opts.PlaceWorkers, Trace: run,
 				Stages: opts.Stages, routePool: pool})
 			run.Close()

@@ -78,8 +78,8 @@ func TestCtxFlowErrWrappedDeadline(t *testing.T) {
 // The repair ladder's exhaustion error has the same deadline
 // classification requirement.
 func TestRepairLadderWrappedDeadline(t *testing.T) {
-	run := func(context.Context, bench.Design, Config) (*Report, error) {
-		return nil, &route.RouteError{Net: 1, Iteration: 1, Overflow: 3, Err: errors.New("unroutable")}
+	run := func(context.Context, bench.Design, Config) (*Report, *Artifacts, error) {
+		return nil, nil, &route.RouteError{Net: 1, Iteration: 1, Overflow: 3, Err: errors.New("unroutable")}
 	}
 	_, err := runFlowRepairWith(wrappedDeadlineCtx{context.Background()}, bench.ALU(4),
 		Config{Arch: cells.GranularPLB(), Flow: FlowB}, run)

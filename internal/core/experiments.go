@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -70,7 +69,7 @@ type MatrixOptions struct {
 	// partially populated instead of aborting on the first error.
 	ContinueOnError bool
 	// Defects injects a fabric defect map into every run. Defective
-	// runs go through the bounded repair ladder (RunFlowRepair).
+	// runs go through the bounded repair ladder (see RunConfig).
 	Defects *defect.Map
 	// RepairBudget caps repair escalations (0 = DefaultRepairBudget).
 	RepairBudget int
@@ -79,49 +78,6 @@ type MatrixOptions struct {
 	// so the exported Chrome trace has one row per worker. Tracing
 	// never changes reports (see Report.StripMetrics).
 	Trace *obs.Tracer
-}
-
-// testPanicHook, when set by a test, is called at the top of every
-// supervised run and may panic to exercise worker panic isolation.
-var testPanicHook func(design, arch string, flow FlowKind)
-
-// supervisedRun executes one flow run under the supervisor: a per-run
-// timeout, panic isolation (a crashed worker becomes a *FlowError with
-// Stage "panic" instead of taking down the process), and the repair
-// ladder when a defect map is present.
-func supervisedRun(ctx context.Context, d bench.Design, cfg Config, timeout time.Duration) (*Report, error) {
-	rep, _, err := supervisedRunFull(ctx, d, cfg, timeout, false)
-	return rep, err
-}
-
-// supervisedRunFull is supervisedRun optionally surfacing the physical
-// artifacts (clean-fabric runs only: the repair ladder reports without
-// them).
-func supervisedRunFull(ctx context.Context, d bench.Design, cfg Config, timeout time.Duration, wantArtifacts bool) (rep *Report, art *Artifacts, err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rep, art = nil, nil
-			err = &FlowError{Design: d.Name, Arch: cfg.Arch.Name, Flow: cfg.Flow.String(),
-				Stage: "panic", Err: fmt.Errorf("%v\n%s", r, debug.Stack())}
-		}
-	}()
-	if testPanicHook != nil {
-		testPanicHook(d.Name, cfg.Arch.Name, cfg.Flow)
-	}
-	if cfg.Defects != nil {
-		rep, err = RunFlowRepair(ctx, d, cfg)
-		return rep, nil, err
-	}
-	rep, art, err = execFlow(ctx, d, cfg)
-	if !wantArtifacts {
-		art = nil
-	}
-	return rep, art, err
 }
 
 // asFlowError coerces err into a *FlowError for the ledger. It walks
@@ -326,7 +282,13 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 		}
 		cfg.Trace = opts.Trace.NewRun(d.Name + "/" + arch.Name + "/" + flow.String())
 		defer cfg.Trace.Close()
-		rep, err := supervisedRun(ctx, d, cfg, opts.PerRunTimeout)
+		runCtx := ctx
+		if opts.PerRunTimeout > 0 {
+			var cancel context.CancelFunc
+			runCtx, cancel = context.WithTimeout(ctx, opts.PerRunTimeout)
+			defer cancel()
+		}
+		rep, _, err := RunConfig(runCtx, d, cfg)
 		if err != nil {
 			fail(asFlowError(d, arch, flow, err))
 			skip(ticket)
@@ -709,14 +671,6 @@ func fanOut(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// GranularitySweep is the deprecated positional-seed form of
-// RunGranularitySweep.
-//
-// Deprecated: use RunGranularitySweep with SweepOptions.
-func GranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLBArch, seed int64) ([]SweepPoint, error) {
-	return RunGranularitySweep(ctx, d, archs, SweepOptions{Seed: seed})
-}
-
 // RunGranularitySweep runs one design across a family of PLB
 // architectures of increasing granularity (experiment E8). The first
 // architecture pins the clock period; the remaining points then run
@@ -729,7 +683,7 @@ func RunGranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLB
 	pool := route.NewPool()
 	point := func(arch *cells.PLBArch, clock float64) (SweepPoint, float64, error) {
 		run := opts.Trace.NewRun("sweep/" + d.Name + "/" + arch.Name)
-		rep, err := RunFlow(ctx, d, Config{Arch: arch, Flow: FlowB, ClockPeriod: clock,
+		rep, _, err := execFlow(ctx, d, Config{Arch: arch, Flow: FlowB, ClockPeriod: clock,
 			Seed: opts.Seed, PlaceWorkers: opts.PlaceWorkers, Trace: run,
 			Stages: opts.Stages, routePool: pool})
 		run.Close()

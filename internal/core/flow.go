@@ -10,13 +10,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"vpga/internal/aig"
-	"vpga/internal/artifact"
 	"vpga/internal/bench"
 	"vpga/internal/cells"
 	"vpga/internal/compact"
@@ -85,9 +85,9 @@ type Config struct {
 	// channels; the repair ladder raises it to dissolve topological
 	// cuts a defect map carved into the finer grid.
 	RouteCellsScale float64
-	// RepairBudget bounds RunFlowRepair's escalation ladder: the number
-	// of retries after the baseline attempt (0 uses DefaultRepairBudget,
-	// negative disables retries).
+	// RepairBudget bounds the repair ladder RunConfig climbs when
+	// Defects is set: the number of retries after the baseline attempt
+	// (0 uses DefaultRepairBudget, negative disables retries).
 	RepairBudget int
 	// Trace, when set, records per-stage spans, solver counters and
 	// repair attempts for this run (see internal/obs). Tracing is pure
@@ -103,27 +103,12 @@ type Config struct {
 	// (after StripMetrics) with or without it, so it never enters the
 	// request cache key.
 	Stages *StageCache
-	// Checkpoints is the PR 7 placement-checkpoint form of the stage
-	// cache, kept for compatibility: when Stages is nil it is wrapped
-	// as NewStageCache(Checkpoints).
-	//
-	// Deprecated: set Stages.
-	Checkpoints *artifact.Store
 	// routePool, when set, lends the router reusable working memory
 	// (usage/history arrays, A* scratch) for the run. The experiment
 	// drivers share one pool across their runs; results are
 	// bit-identical with or without it, so like PlaceWorkers it stays
 	// out of the request cache key.
 	routePool *route.Pool
-}
-
-// stageCache resolves the effective stage cache: Stages, or the
-// deprecated Checkpoints store wrapped on the fly.
-func (c *Config) stageCache() *StageCache {
-	if c.Stages != nil {
-		return c.Stages
-	}
-	return NewStageCache(c.Checkpoints)
 }
 
 // Report collects every figure of merit a flow run produces.
@@ -190,7 +175,7 @@ type Report struct {
 	// (and cached report bytes therefore never carry it).
 	StageCache []StageUse `json:",omitempty"`
 
-	// Repair provenance, populated by RunFlowRepair: how many
+	// Repair provenance, populated by the repair ladder: how many
 	// escalations the run needed (0 = clean first attempt) and the full
 	// attempt ledger, including the failures that triggered escalation.
 	Escalations int
@@ -335,22 +320,32 @@ func ctxFlowErr(ctx context.Context, d bench.Design, cfg Config) *FlowError {
 	return flowErr(d, cfg, stage, err)
 }
 
-// RunFlow pushes one design through the flow. The context cancels the
-// run at stage and iteration boundaries; a run that completes without
-// cancellation is bit-identical to an uncancellable one.
-//
-// Deprecated: Run is the unified request-level entry point; RunFlow
-// remains for callers that already hold a resolved (design, Config)
-// pair.
-func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, error) {
-	rep, _, err := execFlow(ctx, d, cfg)
-	return rep, err
-}
+// testPanicHook, when set by a test, is called at the top of every
+// RunConfig and may panic to exercise panic isolation.
+var testPanicHook func(design, arch string, flow FlowKind)
 
-// RunFlowFull is RunFlow returning the physical artifacts as well.
-//
-// Deprecated: use Run with ExecOptions.WantArtifacts.
-func RunFlowFull(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifacts, error) {
+// RunConfig runs one resolved (design, Config) pair through the flow
+// under the supervisor: a panic becomes a *FlowError with Stage
+// "panic" instead of taking down the process, and a run with a defect
+// map climbs the bounded repair ladder (see Config.RepairBudget). Clean
+// runs return the physical artifacts; repaired runs report without
+// them. The context cancels the run at stage and iteration boundaries.
+// Run is the request-level form of the same call.
+func RunConfig(ctx context.Context, d bench.Design, cfg Config) (rep *Report, art *Artifacts, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rep, art = nil, nil
+			err = &FlowError{Design: d.Name, Arch: cfg.Arch.Name, Flow: cfg.Flow.String(),
+				Stage: "panic", Err: fmt.Errorf("%v\n%s", r, debug.Stack())}
+		}
+	}()
+	if testPanicHook != nil {
+		testPanicHook(d.Name, cfg.Arch.Name, cfg.Flow)
+	}
+	if cfg.Defects != nil {
+		rep, err = runFlowRepairWith(ctx, d, cfg, execFlow)
+		return rep, nil, err
+	}
 	return execFlow(ctx, d, cfg)
 }
 
@@ -498,7 +493,7 @@ func execFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifa
 	if cfg.PlaceEffort == 0 {
 		cfg.PlaceEffort = 6
 	}
-	stages := cfg.stageCache()
+	stages := cfg.Stages
 	rep := &Report{Design: d.Name, Arch: cfg.Arch.Name, Flow: cfg.Flow.String()}
 	if cfg.Defects != nil {
 		rep.DefectSummary = cfg.Defects.String()

@@ -8,7 +8,7 @@ import (
 	"vpga/internal/route"
 )
 
-// DefaultRepairBudget is the number of escalations RunFlowRepair tries
+// DefaultRepairBudget is the number of escalations the repair ladder tries
 // after the baseline attempt before giving up on a defect map.
 const DefaultRepairBudget = 3
 
@@ -83,19 +83,15 @@ func repairable(err error) bool {
 	return false
 }
 
-// RunFlowRepair runs the flow with the bounded-escalation repair loop:
-// on a repairable failure it climbs the ladder (reseed, widen channels,
-// relax clock) up to cfg.RepairBudget rungs, recording every attempt in
-// the winning report. The escalation schedule depends only on (cfg,
-// attempt), so repair is deterministic per defect map.
-func RunFlowRepair(ctx context.Context, d bench.Design, cfg Config) (*Report, error) {
-	return runFlowRepairWith(ctx, d, cfg, RunFlow)
-}
-
-// runFlowRepairWith is RunFlowRepair with an injectable runner, so the
-// ladder is unit-testable without real flow runs.
+// runFlowRepairWith runs the flow with the bounded-escalation repair
+// loop: on a repairable failure it climbs the ladder (reseed, widen
+// channels, relax clock) up to cfg.RepairBudget rungs, recording every
+// attempt in the winning report, which carries no artifacts. The
+// escalation schedule depends only on (cfg, attempt), so repair is
+// deterministic per defect map. RunConfig passes execFlow as run; tests
+// inject a scripted runner.
 func runFlowRepairWith(ctx context.Context, d bench.Design, cfg Config,
-	run func(context.Context, bench.Design, Config) (*Report, error)) (*Report, error) {
+	run func(context.Context, bench.Design, Config) (*Report, *Artifacts, error)) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -113,7 +109,7 @@ func runFlowRepairWith(ctx context.Context, d bench.Design, cfg Config,
 		if attempt > 0 {
 			acfg, rec = escalate(cfg, attempt)
 		}
-		rep, err := run(ctx, d, acfg)
+		rep, _, err := run(ctx, d, acfg)
 		if err == nil {
 			attempts = append(attempts, rec)
 			cfg.Trace.Attempt(rec.Attempt, rec.Action, "")
@@ -121,7 +117,7 @@ func runFlowRepairWith(ctx context.Context, d bench.Design, cfg Config,
 			rep.Escalations = attempt
 			if cfg.Trace != nil {
 				// The winning attempt's metrics were snapshotted inside
-				// RunFlow before this attempt event existed; refresh so the
+				// execFlow before this attempt event existed; refresh so the
 				// report sees the whole ladder (failed rungs included).
 				rep.Stages = cfg.Trace.StageTimings()
 				rep.Solver = cfg.Trace.SolverMetrics()

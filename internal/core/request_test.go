@@ -29,7 +29,7 @@ func TestFlowRequestFieldOrderRoundTrip(t *testing.T) {
 			t.Fatalf("cache key of %s: %v", doc, err)
 		}
 		keys = append(keys, key)
-		rep, err := RunRequest(context.Background(), req, nil)
+		rep, err := runRequest(context.Background(), req)
 		if err != nil {
 			t.Fatalf("run %s: %v", doc, err)
 		}
@@ -147,18 +147,28 @@ func TestFlowRequestValidate(t *testing.T) {
 	}
 }
 
+// runRequest runs req through Run without execution options and
+// returns its report.
+func runRequest(ctx context.Context, req FlowRequest) (*Report, error) {
+	res, err := Run(ctx, req, ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Report, nil
+}
+
 // TestRunRequestRepairLadder: a defect-injecting request goes through
 // the supervisor's repair path and is itself deterministic.
 func TestRunRequestRepairLadder(t *testing.T) {
 	req := FlowRequest{Design: "alu", Seed: 4, DefectRate: 0.02, DefectSeed: 7}
-	r1, err := RunRequest(context.Background(), req, nil)
+	r1, err := runRequest(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.DefectSummary == "" || len(r1.Attempts) == 0 {
 		t.Fatalf("repair request produced no repair evidence: %+v", r1)
 	}
-	r2, err := RunRequest(context.Background(), req, nil)
+	r2, err := runRequest(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

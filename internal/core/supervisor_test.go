@@ -201,6 +201,29 @@ func TestRunMatrixPerRunTimeout(t *testing.T) {
 	}
 }
 
+// TestRunConfigPanicIsolation: a panic inside a single RunConfig call
+// comes back as a *FlowError with Stage "panic", not a crash.
+func TestRunConfigPanicIsolation(t *testing.T) {
+	testPanicHook = func(string, string, FlowKind) { panic("injected run crash") }
+	defer func() { testPanicHook = nil }()
+
+	rep, art, err := RunConfig(context.Background(), bench.ALU(4),
+		Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 1, PlaceEffort: 1})
+	var fe *FlowError
+	if !errors.As(err, &fe) || fe.Stage != "panic" {
+		t.Fatalf("RunConfig under a panicking hook returned %v, want Stage \"panic\"", err)
+	}
+	if rep != nil || art != nil {
+		t.Fatal("panicked run returned a report or artifacts")
+	}
+	if fe.Design != "ALU" || fe.Arch != "granular-plb" || fe.Flow != "flow b" {
+		t.Fatalf("panic record %+v lost the run identity", fe)
+	}
+	if !strings.Contains(fe.Err.Error(), "injected run crash") {
+		t.Fatalf("panic cause lost: %v", fe.Err)
+	}
+}
+
 // TestRepairLadder drives runFlowRepairWith with a scripted runner and
 // checks the deterministic escalation schedule.
 func TestRepairLadder(t *testing.T) {
@@ -208,13 +231,13 @@ func TestRepairLadder(t *testing.T) {
 	base := Config{Seed: 40, ClockPeriod: 1000, Flow: FlowB}
 
 	var seen []Config
-	failUntil := func(n int) func(context.Context, bench.Design, Config) (*Report, error) {
-		return func(_ context.Context, _ bench.Design, cfg Config) (*Report, error) {
+	failUntil := func(n int) func(context.Context, bench.Design, Config) (*Report, *Artifacts, error) {
+		return func(_ context.Context, _ bench.Design, cfg Config) (*Report, *Artifacts, error) {
 			seen = append(seen, cfg)
 			if len(seen) <= n {
-				return nil, &FlowError{Design: d.Name, Stage: "route", Err: fmt.Errorf("congested")}
+				return nil, nil, &FlowError{Design: d.Name, Stage: "route", Err: fmt.Errorf("congested")}
 			}
-			return &Report{Design: d.Name}, nil
+			return &Report{Design: d.Name}, nil, nil
 		}
 	}
 
@@ -268,9 +291,9 @@ func TestRepairLadder(t *testing.T) {
 	// Non-repairable failures do not burn the budget.
 	seen = nil
 	_, err = runFlowRepairWith(context.Background(), d, base,
-		func(_ context.Context, _ bench.Design, cfg Config) (*Report, error) {
+		func(_ context.Context, _ bench.Design, cfg Config) (*Report, *Artifacts, error) {
 			seen = append(seen, cfg)
-			return nil, &FlowError{Design: d.Name, Stage: "rtl", Err: fmt.Errorf("parse error")}
+			return nil, nil, &FlowError{Design: d.Name, Stage: "rtl", Err: fmt.Errorf("parse error")}
 		})
 	if !errors.As(err, &fe) || fe.Stage != "rtl" {
 		t.Fatalf("front-end failure returned %v, want Stage \"rtl\"", err)
@@ -285,7 +308,7 @@ func TestRepairLadder(t *testing.T) {
 // crash or a hang.
 func TestRunFlowRepairUnroutable(t *testing.T) {
 	dm := defect.New(5, 1.0) // every site stuck, every track dead
-	_, err := RunFlowRepair(context.Background(), bench.ALU(4), Config{
+	_, _, err := RunConfig(context.Background(), bench.ALU(4), Config{
 		Arch: cells.GranularPLB(), Flow: FlowB, Seed: 1, PlaceEffort: 1,
 		Defects: dm, RepairBudget: 1,
 	})

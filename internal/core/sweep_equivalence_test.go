@@ -10,9 +10,8 @@ import (
 	"vpga/internal/cells"
 )
 
-// The deprecated positional sweep entry points must stay bit-identical
-// to the SweepOptions forms they wrap, and the options forms must be
-// deterministic across parallel widths.
+// The sweep drivers fan their points out on SweepOptions.Parallel
+// workers; their results must be byte-identical at any width.
 
 func equivalenceArchs() []*cells.PLBArch {
 	return []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()}
@@ -27,76 +26,44 @@ func asJSON(t *testing.T, v any) []byte {
 	return enc
 }
 
-func TestGranularitySweepEquivalence(t *testing.T) {
-	ctx := context.Background()
-	d := bench.ALU(8)
-	old, err := GranularitySweep(ctx, d, equivalenceArchs(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parallel := range []int{1, 4} {
-		got, err := RunGranularitySweep(ctx, d, equivalenceArchs(), SweepOptions{Seed: 11, Parallel: parallel})
+// widthEquivalent runs sweep at Parallel 1 and 4 and fails if the two
+// results differ by a byte.
+func widthEquivalent[T any](t *testing.T, name string, sweep func(SweepOptions) (T, error), opts SweepOptions) {
+	t.Helper()
+	var enc [2][]byte
+	for i, parallel := range []int{1, 4} {
+		opts.Parallel = parallel
+		got, err := sweep(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-			t.Errorf("RunGranularitySweep(parallel=%d) differs from deprecated GranularitySweep", parallel)
-		}
+		enc[i] = asJSON(t, got)
 	}
+	if !bytes.Equal(enc[0], enc[1]) {
+		t.Errorf("%s(Parallel: 4) differs from %s(Parallel: 1)", name, name)
+	}
+}
+
+func TestGranularitySweepEquivalence(t *testing.T) {
+	ctx := context.Background()
+	d := bench.ALU(8)
+	widthEquivalent(t, "RunGranularitySweep", func(o SweepOptions) ([]SweepPoint, error) {
+		return RunGranularitySweep(ctx, d, equivalenceArchs(), o)
+	}, SweepOptions{Seed: 11})
 }
 
 func TestDomainExploreEquivalence(t *testing.T) {
 	ctx := context.Background()
 	domains := []bench.Design{bench.ALU(8), bench.FIR(4, 4)}
-	old, err := DomainExplore(ctx, domains, equivalenceArchs(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parallel := range []int{1, 4} {
-		got, err := RunDomainExplore(ctx, domains, equivalenceArchs(), SweepOptions{Seed: 3, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-			t.Errorf("RunDomainExplore(parallel=%d) differs from deprecated DomainExplore", parallel)
-		}
-	}
+	widthEquivalent(t, "RunDomainExplore", func(o SweepOptions) ([]DomainResult, error) {
+		return RunDomainExplore(ctx, domains, equivalenceArchs(), o)
+	}, SweepOptions{Seed: 3})
 }
 
 func TestRoutingSweepEquivalence(t *testing.T) {
 	ctx := context.Background()
 	d := bench.ALU(8)
-	arch := cells.GranularPLB()
-	caps := []int{4, 16}
-	old, err := RoutingSweep(ctx, d, arch, caps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunRoutingSweep(ctx, d, arch, caps, SweepOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-		t.Error("RunRoutingSweep differs from deprecated RoutingSweep")
-	}
-}
-
-func TestStabilityStudyEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix-per-seed study in -short mode")
-	}
-	ctx := context.Background()
-	suite := bench.TestSuite()
-	seeds := []int64{1}
-	old, err := StabilityStudy(ctx, suite, seeds, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunStabilityStudy(ctx, suite, seeds, StabilityOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-		t.Error("RunStabilityStudy differs from deprecated StabilityStudy")
-	}
+	widthEquivalent(t, "RunRoutingSweep", func(o SweepOptions) ([]RoutingPoint, error) {
+		return RunRoutingSweep(ctx, d, cells.GranularPLB(), []int{4, 16}, o)
+	}, SweepOptions{Seed: 3})
 }

@@ -27,7 +27,7 @@ func TestMatrixTicketEquivalence(t *testing.T) {
 	plan := MatrixPlan{Scale: "test", Seed: 7, PlaceEffort: 3}
 	for i, design := range MatrixDesignNames() {
 		designName := suite.All()[i].Name
-		pin, err := RunRequest(context.Background(), plan.PinTicket(design), nil)
+		pin, err := runRequest(context.Background(), plan.PinTicket(design))
 		if err != nil {
 			t.Fatalf("%s pin ticket: %v", design, err)
 		}
@@ -40,7 +40,7 @@ func TestMatrixTicketEquivalence(t *testing.T) {
 		}
 
 		for _, cell := range plan.DependentTickets(design, clock) {
-			rep, err := RunRequest(context.Background(), cell.Req, nil)
+			rep, err := runRequest(context.Background(), cell.Req)
 			if err != nil {
 				t.Fatalf("%s cell %s/%s: %v", design, cell.ArchName, cell.Flow, err)
 			}
@@ -68,7 +68,7 @@ func TestSweepTicketEquivalence(t *testing.T) {
 	}
 
 	plan := SweepPlan{Design: "alu", Scale: "test", Seed: 5, Archs: specs}
-	first, err := RunRequest(context.Background(), plan.Ticket(0, 0), nil)
+	first, err := runRequest(context.Background(), plan.Ticket(0, 0))
 	if err != nil {
 		t.Fatalf("sweep pin ticket: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestSweepTicketEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(specs); i++ {
-		rep, err := RunRequest(context.Background(), plan.Ticket(i, clock), nil)
+		rep, err := runRequest(context.Background(), plan.Ticket(i, clock))
 		if err != nil {
 			t.Fatalf("sweep ticket %d: %v", i, err)
 		}

@@ -180,7 +180,7 @@ func TestTracingRepairAttempts(t *testing.T) {
 	run := tr.NewRun("ALU/granular-plb/map0")
 	d := bench.ALU(4)
 	dm := defect.New(3, 0.02)
-	rep, err := RunFlowRepair(context.Background(), d, Config{
+	rep, _, err := RunConfig(context.Background(), d, Config{
 		Arch: cells.GranularPLB(), Flow: FlowB, Seed: 7, PlaceEffort: 1,
 		Defects: dm, Trace: run,
 	})

@@ -91,11 +91,11 @@ func DefectYield(ctx context.Context, d bench.Design, arch *cells.PLBArch, opts 
 			pt := YieldPoint{MapSeed: seed, Defects: dm.Counts()}
 			if ctx.Err() == nil {
 				run := opts.Trace.NewRun(fmt.Sprintf("%s/%s/map%d", d.Name, arch.Name, i))
-				rep, err := supervisedRun(ctx, d, Config{
+				rep, _, err := RunConfig(ctx, d, Config{
 					Arch: arch, Flow: FlowB, Seed: opts.FlowSeed,
 					Defects: dm, RepairBudget: budget, Trace: run,
 					routePool: pool,
-				}, 0)
+				})
 				run.Close()
 				if err != nil {
 					pt.Err = err.Error()

@@ -19,7 +19,7 @@
 // Quick start:
 //
 //	design := vpga.ALU(16)
-//	report, err := vpga.Run(design, vpga.Config{
+//	report, err := vpga.Run(ctx, design, vpga.Config{
 //	    Arch: vpga.GranularPLB(),
 //	    Flow: vpga.FlowB,
 //	})
@@ -28,11 +28,12 @@
 // content-addressed report cache — describe the run declaratively
 // instead and let the system resolve it:
 //
-//	report, err := vpga.RunRequest(ctx, vpga.FlowRequest{
+//	res, err := vpga.Execute(ctx, vpga.FlowRequest{
 //	    Design: "alu",
 //	    Arch:   vpga.ArchSpec{Kind: "granular"},
 //	    Seed:   7,
-//	}, nil)
+//	}, vpga.ExecOptions{})
+//	report := res.Report
 //
 // See examples/ for runnable programs and DESIGN.md for the system
 // inventory.
@@ -101,9 +102,14 @@ func CustomPLB(name string, nMux, nXoa, nNand, nLut, nFF int) *PLBArch {
 
 // Run pushes one design through the implementation flow. The context
 // cancels the run at stage and iteration boundaries; pass
-// context.Background() when no cancellation is needed.
+// context.Background() when no cancellation is needed. A panic inside
+// the flow comes back as a *FlowError with Stage "panic", and a run
+// with Config.Defects set climbs the bounded repair ladder (reseed,
+// widen channels, relax clock), recording every attempt in
+// Report.Attempts; RepairBudget -1 allows the baseline attempt only.
 func Run(ctx context.Context, d Design, cfg Config) (*Report, error) {
-	return core.RunFlow(ctx, d, cfg)
+	rep, _, err := core.RunConfig(ctx, d, cfg)
+	return rep, err
 }
 
 // FlowRequest is the canonical, JSON-serializable description of one
@@ -118,15 +124,6 @@ type FlowRequest = core.FlowRequest
 // "granular", "lut", or "custom" with slot counts.
 type ArchSpec = core.ArchSpec
 
-// RunRequest resolves and executes a FlowRequest under the flow
-// supervisor (panic isolation; the repair ladder when the request
-// injects defects). trace optionally records the run; nil is valid.
-//
-// Deprecated: use Execute, the one pipeline-backed entry point.
-func RunRequest(ctx context.Context, req FlowRequest, trace *TraceRun) (*Report, error) {
-	return core.RunRequest(ctx, req, trace)
-}
-
 // ExecOptions carries the execution-only knobs of a request run —
 // tracing, the stage-granular build cache, artifact retention. None of
 // them change the report's bytes.
@@ -139,8 +136,8 @@ type RunResult = core.RunResult
 
 // Execute is the unified pipeline entry point: it resolves a
 // FlowRequest and runs it under the flow supervisor with the given
-// execution options. Every other run form — Run, RunFull, RunRequest —
-// is a thin wrapper over the same pipeline.
+// execution options. Run and RunFull are its in-memory (Design,
+// Config) forms over the same pipeline.
 func Execute(ctx context.Context, req FlowRequest, opts ExecOptions) (*RunResult, error) {
 	return core.Run(ctx, req, opts)
 }
@@ -250,13 +247,6 @@ func RunGranularitySweep(ctx context.Context, d Design, archs []*PLBArch, opts S
 	return core.RunGranularitySweep(ctx, d, archs, opts)
 }
 
-// GranularitySweep runs a design across a family of PLB architectures.
-//
-// Deprecated: use RunGranularitySweep, which accepts SweepOptions.
-func GranularitySweep(ctx context.Context, d Design, archs []*PLBArch, seed int64) ([]SweepPoint, error) {
-	return core.RunGranularitySweep(ctx, d, archs, SweepOptions{Seed: seed})
-}
-
 // DefaultSweepArchs returns the standard granularity family.
 func DefaultSweepArchs() []*PLBArch { return core.DefaultSweepArchs() }
 
@@ -296,13 +286,6 @@ func RunStabilityStudy(ctx context.Context, s Suite, seeds []int64, opts Stabili
 	return core.RunStabilityStudy(ctx, s, seeds, opts)
 }
 
-// StabilityStudy runs the Table 1/2 matrix once per seed.
-//
-// Deprecated: use RunStabilityStudy, which accepts StabilityOptions.
-func StabilityStudy(ctx context.Context, s Suite, seeds []int64, effort int) (*ClaimStats, error) {
-	return core.RunStabilityStudy(ctx, s, seeds, StabilityOptions{PlaceEffort: effort})
-}
-
 // DomainResult reports per-domain architecture comparisons.
 type DomainResult = core.DomainResult
 
@@ -310,14 +293,6 @@ type DomainResult = core.DomainResult
 // domain (the paper's Sec. 4 future work).
 func RunDomainExplore(ctx context.Context, domains []Design, archs []*PLBArch, opts SweepOptions) ([]DomainResult, error) {
 	return core.RunDomainExplore(ctx, domains, archs, opts)
-}
-
-// DomainExplore finds the best PLB architecture per application
-// domain.
-//
-// Deprecated: use RunDomainExplore, which accepts SweepOptions.
-func DomainExplore(ctx context.Context, domains []Design, archs []*PLBArch, seed int64) ([]DomainResult, error) {
-	return core.RunDomainExplore(ctx, domains, archs, SweepOptions{Seed: seed})
 }
 
 // RoutingPoint is one sample of the routing-architecture sweep.
@@ -329,14 +304,6 @@ func RunRoutingSweep(ctx context.Context, d Design, arch *PLBArch, capacities []
 	return core.RunRoutingSweep(ctx, d, arch, capacities, opts)
 }
 
-// RoutingSweep routes a packed design under several per-channel track
-// capacities.
-//
-// Deprecated: use RunRoutingSweep, which accepts SweepOptions.
-func RoutingSweep(ctx context.Context, d Design, arch *PLBArch, capacities []int, seed int64) ([]RoutingPoint, error) {
-	return core.RunRoutingSweep(ctx, d, arch, capacities, SweepOptions{Seed: seed})
-}
-
 // Defect-aware fabric (yield experiments).
 
 // DefectMap is a seeded map of fabric defects: stuck PLB sites, dead
@@ -346,13 +313,6 @@ type DefectMap = defect.Map
 
 // NewDefectMap samples a defect map at the given rate per fabric tile.
 func NewDefectMap(seed int64, rate float64) *DefectMap { return defect.New(seed, rate) }
-
-// RunRepair runs the flow with the bounded-escalation repair loop
-// (reseed, widen channels, relax clock) — see Config.Defects and
-// Config.RepairBudget.
-func RunRepair(ctx context.Context, d Design, cfg Config) (*Report, error) {
-	return core.RunFlowRepair(ctx, d, cfg)
-}
 
 // YieldResult aggregates a defect-yield sweep.
 type YieldResult = core.YieldResult
@@ -395,9 +355,10 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // routing) of a flow run for tools needing more than the report.
 type Artifacts = core.Artifacts
 
-// RunFull is Run returning the physical artifacts as well.
+// RunFull is Run returning the physical artifacts as well (nil for a
+// run with Config.Defects set: the repair ladder reports without them).
 func RunFull(ctx context.Context, d Design, cfg Config) (*Report, *Artifacts, error) {
-	return core.RunFlowFull(ctx, d, cfg)
+	return core.RunConfig(ctx, d, cfg)
 }
 
 // WriteFloorplan renders a flow-b result as a textual floorplan: array

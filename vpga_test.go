@@ -47,6 +47,30 @@ func TestPublicAPIRunFlow(t *testing.T) {
 	}
 }
 
+// Run applies the same policy as RunMatrix and Execute: a config with a
+// defect map climbs the repair ladder and records its attempts, and
+// RepairBudget -1 allows the baseline attempt only.
+func TestPublicAPIRunDefectsRepair(t *testing.T) {
+	cfg := Config{Arch: GranularPLB(), Flow: FlowB, Seed: 7, PlaceEffort: 1,
+		Defects: NewDefectMap(3, 0.02)}
+	rep, err := Run(context.Background(), ALU(4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Attempts) == 0 || rep.DefectSummary == "" {
+		t.Fatalf("defect run bypassed the repair ladder: %+v", rep)
+	}
+
+	cfg.RepairBudget = -1
+	rep, err = Run(context.Background(), ALU(4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Attempts) != 1 || rep.Attempts[0].Action != "baseline" {
+		t.Fatalf("RepairBudget -1 gave attempts %+v, want the baseline only", rep.Attempts)
+	}
+}
+
 func TestPublicAPIGenerators(t *testing.T) {
 	for _, d := range []Design{ALU(8), FPU(6), Switch(4, 8, 2), Firewire(6)} {
 		if _, err := Compile(d.RTL); err != nil {
