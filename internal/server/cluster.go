@@ -189,7 +189,7 @@ func (n *nodeClient) lastHealth() nodeHealth {
 // lookup never loops back to self and never cascades.
 func NewPeerLookup(self string, nodes []string) func(ctx context.Context, kind, key string) ([]byte, bool) {
 	self = strings.TrimRight(self, "/")
-	r := newRing(nodes, 0)
+	r := newRing(nodes)
 	peers := make(map[string]*nodeClient, len(nodes))
 	for _, n := range nodes {
 		if c := newNodeClient(n); c.base != self {

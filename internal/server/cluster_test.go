@@ -100,8 +100,8 @@ func checkMatrixGolden(t *testing.T, result json.RawMessage) {
 // remaps only the dead member's keys.
 func TestRingDeterministicOwnership(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(members, 0)
-	r2 := newRing([]string{members[2], members[0], members[1]}, 0)
+	r1 := newRing(members)
+	r2 := newRing([]string{members[2], members[0], members[1]})
 
 	// Real ring keys are SHA-256 hex; hashed key strings stand in here
 	// so the sample spreads like content addresses do.
@@ -327,7 +327,7 @@ func TestPeerFetchFaultInjectionDegrades(t *testing.T) {
 	self := ""
 	for i := 0; i < 256 && self == ""; i++ {
 		cand := fmt.Sprintf("http://self-%d.invalid", i)
-		if newRing([]string{cand, src.URL}, 0).owner(key) == src.URL {
+		if newRing([]string{cand, src.URL}).owner(key) == src.URL {
 			self = cand
 		}
 	}
@@ -386,6 +386,24 @@ func TestCoordinatorForwardsRun(t *testing.T) {
 	}
 	if hits := c.peerHits.Load() + c.workerCacheHits.Load(); hits == 0 {
 		t.Fatal("resubmission resolved without any cache hit")
+	}
+}
+
+// TestCoordinatorKeepsRemoteFailureClass: a run that times out on its
+// worker fails on the coordinator with the worker's stage and error
+// class intact, and counts on the coordinator's timeout counter.
+func TestCoordinatorKeepsRemoteFailureClass(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, JobTimeout: time.Nanosecond})
+	_, cts := newTestCoordinator(t, CoordinatorOptions{Workers: []string{ts.URL}})
+	_, jr := postJSON(t, cts, "/v1/runs?wait=1", runBody)
+	if jr.Status != "failed" {
+		t.Fatalf("forwarded run with a 1ns worker budget finished %q", jr.Status)
+	}
+	if jr.Stage != "timeout" || jr.ErrorKind != "timeout" {
+		t.Fatalf("coordinator envelope stage %q error_kind %q, want timeout/timeout", jr.Stage, jr.ErrorKind)
+	}
+	if v, ok := metricValue(metricsText(t, cts), "vpgad_jobs_timeout_total"); !ok || v != 1 {
+		t.Fatalf("coordinator vpgad_jobs_timeout_total = %g (found=%v), want 1", v, ok)
 	}
 }
 
@@ -516,25 +534,35 @@ func TestBatchSubmission(t *testing.T) {
 	urls := newWorkerFleet(t, 2)
 	c, cts := newTestCoordinator(t, CoordinatorOptions{Workers: urls})
 
-	// A bad item rejects the whole batch before anything launches.
-	resp, err := http.Post(cts.URL+"/v1/batch", "application/json",
-		strings.NewReader(`{"jobs":[{"kind":"run","request":`+runBody+`},{"kind":"nope","request":{}}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad batch: status %d, want 400", resp.StatusCode)
-	}
-	if got := c.tickets.Load(); got != 0 {
-		t.Fatalf("rejected batch still ran %d tickets", got)
+	// A bad item — an unknown kind, or a known kind failing the same
+	// validation a worker runs — rejects the whole batch before
+	// anything launches.
+	for _, bad := range []string{
+		`{"kind":"nope","request":{}}`,
+		`{"kind":"sweep/granularity","request":{"design":"alu","archs":[{"kind":"bogus"}]}}`,
+	} {
+		resp, err := http.Post(cts.URL+"/v1/batch", "application/json",
+			strings.NewReader(`{"jobs":[{"kind":"run","request":`+runBody+`},`+bad+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad batch %s: status %d, want 400", bad, resp.StatusCode)
+		}
+		if got := c.tickets.Load(); got != 0 {
+			t.Fatalf("rejected batch %s still ran %d tickets", bad, got)
+		}
+		if got := c.jobs.tracked(); got != 0 {
+			t.Fatalf("rejected batch %s still tracks %d jobs", bad, got)
+		}
 	}
 
 	batch := fmt.Sprintf(`{"jobs":[
 		{"kind":"run","priority":1,"tenant":"interactive","request":%s},
 		{"kind":"run","tenant":"bulk","request":{"design":"alu","arch":{"kind":"lut"},"flow":"b","seed":7}}
 	]}`, runBody)
-	resp, err = http.Post(cts.URL+"/v1/batch", "application/json", strings.NewReader(batch))
+	resp, err := http.Post(cts.URL+"/v1/batch", "application/json", strings.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
 	}

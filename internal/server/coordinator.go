@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,38 +37,26 @@ type Coordinator struct {
 	sched *scheduler
 	cache *lru // composite (merged) results; cells live in worker caches
 	log   *slog.Logger
+	jobs  *jobRegistry
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
+	start   time.Time
 
-	mu        sync.Mutex
-	jobs      map[string]*cjob
-	doneOrder []string
-
-	nextID atomic.Int64
-	start  time.Time
-
-	reqTotal, completed, failed atomic.Int64
-	timeouts                    atomic.Int64
-	cacheHits, cacheMisses      atomic.Int64
-	tickets, ticketRetries      atomic.Int64
-	peerHits, peerMisses        atomic.Int64
-	workerCacheHits             atomic.Int64
-	steals, reshards            atomic.Int64
-	batches                     atomic.Int64
+	reqTotal               atomic.Int64
+	cacheHits, cacheMisses atomic.Int64
+	tickets, ticketRetries atomic.Int64
+	peerHits, peerMisses   atomic.Int64
+	workerCacheHits        atomic.Int64
+	steals, reshards       atomic.Int64
+	batches                atomic.Int64
 }
 
 // CoordinatorOptions configures a Coordinator.
 type CoordinatorOptions struct {
 	// Workers are the worker nodes' base URLs (required, >= 1).
 	Workers []string
-	// VNodes is the consistent-hash virtual-node count per worker
-	// (0 = 64).
-	VNodes int
-	// NodeConcurrency is the number of tickets in flight per worker
-	// node (0 = 4) — roughly the worker's own pool size.
-	NodeConcurrency int
 	// HealthInterval paces the node health probes (0 = 2s, < 0 = off).
 	HealthInterval time.Duration
 	// CacheSize bounds the merged-composite result cache (0 = 256).
@@ -80,10 +69,11 @@ type CoordinatorOptions struct {
 	Logger *slog.Logger
 }
 
+// nodeLanes is the number of tickets in flight per worker node —
+// roughly a worker's own pool size.
+const nodeLanes = 4
+
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
-	if o.NodeConcurrency <= 0 {
-		o.NodeConcurrency = 4
-	}
 	if o.HealthInterval == 0 {
 		o.HealthInterval = 2 * time.Second
 	}
@@ -114,7 +104,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		nodes:   make(map[string]*nodeClient, len(opts.Workers)),
 		cache:   newLRU(opts.CacheSize),
 		log:     log,
-		jobs:    make(map[string]*cjob),
+		jobs:    newJobRegistry("c", opts.JobsKeep, log, nil),
 		baseCtx: ctx,
 		cancel:  cancel,
 		start:   time.Now(),
@@ -128,17 +118,18 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		c.nodes[n.base] = n
 		c.order = append(c.order, n.base)
 	}
-	c.ring = newRing(c.order, opts.VNodes)
-	c.sched = newScheduler(opts.NodeConcurrency)
+	c.ring = newRing(c.order)
+	c.sched = newScheduler(nodeLanes)
 
-	c.mux.HandleFunc("POST /v1/runs", c.handleRun)
-	c.mux.HandleFunc("POST /v1/matrix", c.handleMatrix)
-	c.mux.HandleFunc("POST /v1/sweeps/granularity", c.handleGranularitySweep)
-	c.mux.HandleFunc("POST /v1/sweeps/routing", c.handleRoutingSweep)
+	for _, k := range jobKinds {
+		c.mux.HandleFunc("POST "+k.path, handleSubmit(k, func(w http.ResponseWriter, r *http.Request, sub *submission) {
+			respondJob(w, r, c.startJob(sub, 0, ""))
+		}))
+	}
 	c.mux.HandleFunc("POST /v1/batch", c.handleBatch)
-	c.mux.HandleFunc("GET /v1/runs/{id}", c.handleStatus)
+	c.mux.HandleFunc("GET /v1/runs/{id}", c.jobs.handleStatus)
 	c.mux.HandleFunc("GET /v1/runs/{id}/trace", c.handleJobTrace)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
+	c.mux.HandleFunc("GET /v1/jobs/{id}", c.jobs.handleStatus)
 	c.mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleJobTrace)
 	c.mux.HandleFunc("GET /v1/cluster/status", c.handleClusterStatus)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -146,7 +137,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 
 	for _, base := range c.order {
 		n := c.nodes[base]
-		for i := 0; i < opts.NodeConcurrency; i++ {
+		for i := 0; i < nodeLanes; i++ {
 			c.wg.Add(1)
 			go c.runner(n)
 		}
@@ -197,7 +188,6 @@ type ticket struct {
 	seq      int64
 	priority int
 	tenant   string
-	kind     string
 	name     string // display label on the merged trace ("alu/lut-plb/flow b")
 	path     string // worker endpoint ("/v1/runs", "/v1/sweeps/routing")
 	key      string // content address; routes the ticket on the ring
@@ -524,11 +514,6 @@ func (c *Coordinator) execute(n *nodeClient, t *ticket) {
 			record(workerJob, false, "attempt ended before a terminal status")
 			return // resubmitted (or delivered a poll failure)
 		}
-		if env.ErrorKind == "timeout" {
-			// Satellite of isTimeout: a timeout on a remote worker still
-			// counts on the coordinator's vpgad_jobs_timeout_total.
-			c.timeouts.Add(1)
-		}
 		if env.Cached {
 			c.workerCacheHits.Add(1)
 		}
@@ -670,7 +655,7 @@ func (c *Coordinator) healthLoop() {
 // owning job supplies the scheduling coordinates (priority, tenant)
 // and the trace context; name labels the ticket on the merged
 // timeline.
-func (c *Coordinator) runTicket(j *cjob, name, kind, path string, body any, key string) (*rawEnvelope, error) {
+func (c *Coordinator) runTicket(j *job, name, path string, body any, key string) (*rawEnvelope, error) {
 	enc, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
@@ -688,14 +673,14 @@ func (c *Coordinator) runTicket(j *cjob, name, kind, path string, body any, key 
 					j.trace.ticket(ticketRecord{
 						name: name, node: owner, start: start, end: j.trace.since(), cached: true,
 					})
-					return &rawEnvelope{Kind: kind, Status: "done", Cached: true, Key: key, Result: raw}, nil
+					return &rawEnvelope{Status: "done", Cached: true, Key: key, Result: raw}, nil
 				}
 			}
 		}
 		c.peerMisses.Add(1)
 	}
 	t := &ticket{
-		priority: j.priority, tenant: j.tenant, kind: kind, name: name, path: path,
+		priority: j.priority, tenant: j.tenant, name: name, path: path,
 		key: key, body: enc, traceID: j.traceID, trace: j.trace,
 		res: make(chan ticketOutcome, 1),
 	}
@@ -717,227 +702,66 @@ func (c *Coordinator) runTicket(j *cjob, name, kind, path string, body any, key 
 // ---------------------------------------------------------------------------
 // Coordinator jobs (client-visible composites).
 
-// cjob is one client-visible coordinator job: a forwarded run or a
-// split composite, tracked under a coordinator-scoped ID.
-type cjob struct {
-	id       string
-	kind     string
-	key      string
-	priority int
-	tenant   string
-	created  time.Time
-	done     chan struct{}
-
-	// Distributed trace: the coordinator-minted trace ID every ticket
-	// of this job carries, and the recorder behind GET
-	// /v1/jobs/{id}/trace.
-	traceID string
-	trace   *jobTrace
-
-	mu      sync.Mutex
-	status  string
-	cached  bool
-	result  any
-	errMsg  string
-	stage   string
-	errKind string
-}
-
-func (j *cjob) response() jobResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return jobResponse{
-		ID: j.id, Kind: j.kind, Status: j.status, Cached: j.cached, Key: j.key,
-		Result: j.result, Error: j.errMsg, Stage: j.stage, ErrorKind: j.errKind,
-		TraceID: j.traceID,
-	}
-}
-
-func (j *cjob) finish(result any, cached bool) {
-	j.mu.Lock()
-	j.status = "done"
-	j.result = result
-	j.cached = cached
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *cjob) fail(msg, stage, errKind string) {
-	j.mu.Lock()
-	j.status = "failed"
-	j.errMsg = msg
-	j.stage = stage
-	j.errKind = errKind
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// startJob registers a cjob — minting its distributed trace ID and
-// recorder — and runs its composite on a goroutine.
-func (c *Coordinator) startJob(kind, key string, priority int, tenant string, run func(j *cjob)) *cjob {
-	traceID := newTraceID()
-	j := &cjob{
-		id: fmt.Sprintf("c%06d", c.nextID.Add(1)), kind: kind, key: key,
-		priority: priority, tenant: tenant, created: time.Now(),
-		traceID: traceID, trace: newJobTrace(traceID),
-		done: make(chan struct{}), status: "queued",
-	}
-	c.mu.Lock()
-	c.jobs[j.id] = j
-	c.mu.Unlock()
-	c.log.Info("job accepted", "job_id", j.id, "kind", kind, "trace_id", traceID,
-		"tenant", tenant, "priority", priority)
+// startJob is the coordinator's admission: it registers a job —
+// minting its distributed trace ID and recorder — and runs it on its
+// own goroutine. Concurrency is bounded downstream, by the ticket
+// scheduler, which is where priorities and tenant fairness apply.
+func (c *Coordinator) startJob(sub *submission, priority int, tenant string) *job {
+	j := c.jobs.newJob(sub)
+	j.priority, j.tenant = priority, tenant
+	j.traceID = newTraceID()
+	j.trace = newJobTrace(j.traceID)
+	c.jobs.accept(j)
 	go func() {
-		j.mu.Lock()
-		j.status = "running"
-		j.mu.Unlock()
-		endJob := j.trace.span("job "+kind, map[string]any{"job_id": j.id})
-		run(j)
+		j.start()
+		endJob := j.trace.span("job "+j.kind.name, map[string]any{"job_id": j.id})
+		res, cached, err := j.remote(c, j)
 		endJob()
-		j.mu.Lock()
-		failed := j.status == "failed"
-		errMsg := j.errMsg
-		j.mu.Unlock()
-		if failed {
-			c.failed.Add(1)
-			c.log.Warn("job failed", "job_id", j.id, "kind", kind, "trace_id", traceID,
-				"error", errMsg, "duration", time.Since(j.created))
-		} else {
-			c.completed.Add(1)
-			c.log.Info("job done", "job_id", j.id, "kind", kind, "trace_id", traceID,
-				"duration", time.Since(j.created))
-		}
-		c.retireJob(j)
+		c.jobs.finish(j, res, cached, err)
 	}()
 	return j
 }
 
-func (c *Coordinator) retireJob(j *cjob) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.doneOrder = append(c.doneOrder, j.id)
-	for len(c.doneOrder) > c.opts.JobsKeep {
-		old := c.doneOrder[0]
-		c.doneOrder = c.doneOrder[1:]
-		delete(c.jobs, old)
-	}
-}
-
-// finishFromEnvelope resolves a forwarded job from a worker envelope.
-func (j *cjob) finishFromEnvelope(env *rawEnvelope, err error) {
+// forward ships the whole job as one ticket to the ring owner of its
+// key; a worker-side failure keeps the worker's stage and error class.
+func (c *Coordinator) forward(j *job, name string) (any, bool, error) {
+	env, err := c.runTicket(j, name, j.kind.path, json.RawMessage(j.body), j.key)
 	if err != nil {
-		j.fail(err.Error(), "", "")
-		return
+		return nil, false, err
 	}
-	if env.Status == "failed" {
-		j.fail(env.Error, env.Stage, env.ErrorKind)
-		return
+	if err := envelopeError(env); err != nil {
+		return nil, false, err
 	}
-	j.finish(env.Result, env.Cached)
+	return env.Result, env.Cached, nil
 }
 
-// respondCJob mirrors respondJob for coordinator jobs (?wait=1 blocks).
-func respondCJob(w http.ResponseWriter, r *http.Request, j *cjob) {
-	if wantWait(r) {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
-		}
-	}
-	resp := j.response()
-	status := http.StatusAccepted
-	if resp.Status == "done" || resp.Status == "failed" {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, resp)
-}
-
-// ---------------------------------------------------------------------------
-// Submission endpoints.
-
-// handleRun forwards one flow run to the ring owner of its key.
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req core.FlowRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitRun(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitRun(w http.ResponseWriter, r *http.Request, req core.FlowRequest, priority int, tenant string) *cjob {
-	key, err := req.CacheKey()
-	if err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	j := c.startJob("run", key, priority, tenant, func(j *cjob) {
-		env, err := c.runTicket(j, req.TicketLabel(), "run", "/v1/runs", req, key)
-		j.finishFromEnvelope(env, err)
-	})
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
-}
-
-// handleMatrix splits the matrix into per-cell tickets and merges a
-// byte-identical MatrixResult.
-func (c *Coordinator) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitMatrix(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitMatrix(w http.ResponseWriter, r *http.Request, req MatrixRequest, priority int, tenant string) *cjob {
-	if err := req.validate(); err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	key, err := req.cacheKey()
-	if err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	if v, ok := c.cache.get(key); ok {
+// composite serves a split job (matrix, granularity sweep) from the
+// merged-result cache, or runs it as tickets.
+func (c *Coordinator) composite(j *job, run func() (any, error)) (any, bool, error) {
+	if v, ok := c.cache.get(j.key); ok {
 		c.cacheHits.Add(1)
-		j := c.startJob("matrix", key, priority, tenant, func(j *cjob) { j.finish(v, true) })
-		if w != nil {
-			respondCJob(w, r, j)
-		}
-		return j
+		return v, true, nil
 	}
 	c.cacheMisses.Add(1)
-	j := c.startJob("matrix", key, priority, tenant, func(j *cjob) { c.runMatrixJob(j, req) })
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
+	v, err := run()
+	return v, false, err
 }
 
 // cellFailure is one failed or skipped matrix cell, carried as the
 // exact error string a single-node RunMatrix ledger would render.
 type cellFailure struct {
-	design, arch, flow, msg string
+	design, arch, flow string
+	err                error
 }
 
-// runMatrixJob executes a matrix as 16 tickets — per design, the
+// runMatrix executes a matrix as 16 tickets — per design, the
 // clock-pinning cell first, then its three dependents pinned to the
 // derived clock — and merges the cells into the same MatrixResult a
 // single node computes: identical report maps (pre-built like
 // RunMatrix, reclocked pins, stripped metrics), the error ledger
 // sorted by (design, arch, flow), and the rendered tables/claims when
 // the matrix is complete.
-func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
+func (c *Coordinator) runMatrix(j *job, req MatrixRequest) (any, error) {
 	n := req.normalize()
 	suite := req.suite()
 	designs := suite.All()
@@ -961,25 +785,18 @@ func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
 		failures []cellFailure
 		wg       sync.WaitGroup
 	)
-	fail := func(design, arch, flow, msg string) {
+	fail := func(design, arch, flow string, err error) {
 		mu.Lock()
-		failures = append(failures, cellFailure{design, arch, flow, msg})
+		failures = append(failures, cellFailure{design, arch, flow, err})
 		mu.Unlock()
 	}
-	// cellReport resolves one ticket envelope into a stripped report.
-	cellReport := func(env *rawEnvelope, err error) (*core.Report, string) {
-		switch {
-		case err != nil:
-			return nil, err.Error()
-		case env.Status == "failed":
-			return nil, env.Error
+	// cellReport resolves one ticket into a stripped report.
+	cellReport := func(name string, req core.FlowRequest) (*core.Report, error) {
+		rep, err := c.ticketReport(j, name, req)
+		if err == nil {
+			rep.StripMetrics()
 		}
-		rep := &core.Report{}
-		if err := json.Unmarshal(env.Result, rep); err != nil {
-			return nil, fmt.Sprintf("decoding cell report: %v", err)
-		}
-		rep.StripMetrics()
-		return rep, ""
+		return rep, err
 	}
 
 	for di := range designs {
@@ -988,15 +805,15 @@ func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
 			defer wg.Done()
 			d := designs[di]
 			pinReq := plan.PinTicket(designReqs[di])
-			pin, msg := cellReport(c.runTicket(j, plan.PinLabel(d.Name), "run", "/v1/runs", pinReq, mustKey(pinReq)))
-			if pin == nil {
-				fail(d.Name, archNames[0], "flow a", msg)
+			pin, err := cellReport(plan.PinLabel(d.Name), pinReq)
+			if err != nil {
+				fail(d.Name, archNames[0], "flow a", err)
 				// The three dependents never run: ledger them exactly like
 				// RunMatrix's skipDependents.
 				for _, cell := range plan.DependentTickets(designReqs[di], 0) {
 					fail(d.Name, cell.ArchName, cell.Flow,
-						(&core.FlowError{Design: d.Name, Arch: cell.ArchName, Flow: cell.Flow,
-							Stage: "skipped", Err: errors.New("clock-pinning run failed")}).Error())
+						&core.FlowError{Design: d.Name, Arch: cell.ArchName, Flow: cell.Flow,
+							Stage: "skipped", Err: errors.New("clock-pinning run failed")})
 				}
 				return
 			}
@@ -1011,9 +828,9 @@ func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
 				iwg.Add(1)
 				go func(cell core.MatrixCell) {
 					defer iwg.Done()
-					rep, msg := cellReport(c.runTicket(j, cell.Label(d.Name), "run", "/v1/runs", cell.Req, mustKey(cell.Req)))
-					if rep == nil {
-						fail(d.Name, cell.ArchName, cell.Flow, msg)
+					rep, err := cellReport(cell.Label(d.Name), cell.Req)
+					if err != nil {
+						fail(d.Name, cell.ArchName, cell.Flow, err)
 						return
 					}
 					mu.Lock()
@@ -1039,12 +856,11 @@ func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
 		return a.flow < b.flow
 	})
 	if len(failures) > 0 && !n.ContinueOnError {
-		j.fail(failures[0].msg, "", "")
-		return
+		return nil, failures[0].err
 	}
 	res := MatrixResult{Reports: reports}
 	for _, f := range failures {
-		res.Errors = append(res.Errors, f.msg)
+		res.Errors = append(res.Errors, f.err.Error())
 	}
 	if len(failures) == 0 {
 		m := &core.Matrix{Designs: designs, Reports: reports}
@@ -1054,104 +870,43 @@ func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
 		res.Claims = &claims
 		c.cache.put(j.key, res)
 	}
-	j.finish(res, false)
+	return res, nil
 }
 
-// mustKey content-addresses an already-normalized cell request; cells
-// are canonical by construction, so this cannot fail at runtime.
-func mustKey(req core.FlowRequest) string {
+// ticketReport runs one flow-run ticket and decodes its report; a
+// worker-side failure keeps the worker's stage and error class.
+func (c *Coordinator) ticketReport(j *job, name string, req core.FlowRequest) (*core.Report, error) {
 	key, err := req.CacheKey()
 	if err != nil {
-		panic(fmt.Sprintf("server: matrix cell has no content address: %v", err))
+		return nil, err
 	}
-	return key
-}
-
-// handleGranularitySweep splits the sweep into per-architecture
-// tickets (first arch pins the clock) and merges the points.
-func (c *Coordinator) handleGranularitySweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitGranularitySweep(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitGranularitySweep(w http.ResponseWriter, r *http.Request, req SweepRequest, priority int, tenant string) *cjob {
-	bad := func(err error) *cjob {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	if _, err := req.resolveDesign(); err != nil {
-		return bad(err)
-	}
-	n := req.normalize()
-	specs := n.Archs
-	if len(specs) == 0 {
-		specs = core.DefaultSweepArchSpecs()
-	}
-	for _, spec := range specs {
-		if _, err := spec.Resolve(); err != nil {
-			return bad(err)
-		}
-	}
-	key, err := req.cacheKey("sweep/granularity")
+	env, err := c.runTicket(j, name, "/v1/runs", req, key)
 	if err != nil {
-		return bad(err)
+		return nil, err
 	}
-	if v, ok := c.cache.get(key); ok {
-		c.cacheHits.Add(1)
-		j := c.startJob("sweep/granularity", key, priority, tenant, func(j *cjob) { j.finish(v, true) })
-		if w != nil {
-			respondCJob(w, r, j)
-		}
-		return j
+	if err := envelopeError(env); err != nil {
+		return nil, err
 	}
-	c.cacheMisses.Add(1)
-	plan := core.SweepPlan{
-		Design: n.Design, Scale: n.Scale, RTL: n.RTL, Name: n.Name,
-		Seed: n.Seed, Archs: specs,
+	rep := &core.Report{}
+	if err := json.Unmarshal(env.Result, rep); err != nil {
+		return nil, fmt.Errorf("decoding cell report: %w", err)
 	}
-	j := c.startJob("sweep/granularity", key, priority, tenant, func(j *cjob) { c.runSweepJob(j, plan) })
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
+	return rep, nil
 }
 
-// runSweepJob executes a granularity sweep as tickets: the first
+// runSweep executes a granularity sweep as tickets: the first
 // architecture pins the clock (its report's ClockPeriod), the rest run
 // pinned in parallel, and the merged points match RunGranularitySweep
 // point for point.
-func (c *Coordinator) runSweepJob(j *cjob, plan core.SweepPlan) {
-	ticketReport := func(i int, clock float64) (*core.Report, error) {
-		req := plan.Ticket(i, clock)
-		env, err := c.runTicket(j, plan.TicketLabel(i), "run", "/v1/runs", req, mustKey(req))
-		if err != nil {
-			return nil, err
-		}
-		if env.Status == "failed" {
-			return nil, errors.New(env.Error)
-		}
-		rep := &core.Report{}
-		if err := json.Unmarshal(env.Result, rep); err != nil {
-			return nil, fmt.Errorf("decoding sweep report: %w", err)
-		}
-		return rep, nil
-	}
-	first, err := ticketReport(0, 0)
+func (c *Coordinator) runSweep(j *job, plan core.SweepPlan) (any, error) {
+	first, err := c.ticketReport(j, plan.TicketLabel(0), plan.Ticket(0, 0))
 	if err != nil {
-		j.fail(err.Error(), "", "")
-		return
+		return nil, err
 	}
 	clock := first.ClockPeriod
 	pts := make([]core.SweepPoint, len(plan.Archs))
 	if pts[0], err = core.SweepPointFrom(plan.Archs[0], first); err != nil {
-		j.fail(err.Error(), "", "")
-		return
+		return nil, err
 	}
 	var (
 		wg       sync.WaitGroup
@@ -1162,7 +917,7 @@ func (c *Coordinator) runSweepJob(j *cjob, plan core.SweepPlan) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := ticketReport(i, clock)
+			rep, err := c.ticketReport(j, plan.TicketLabel(i), plan.Ticket(i, clock))
 			if err == nil {
 				var pt core.SweepPoint
 				if pt, err = core.SweepPointFrom(plan.Archs[i], rep); err == nil {
@@ -1179,47 +934,10 @@ func (c *Coordinator) runSweepJob(j *cjob, plan core.SweepPlan) {
 	}
 	wg.Wait()
 	if firstErr != nil {
-		j.fail(firstErr.Error(), "", "")
-		return
+		return nil, firstErr
 	}
 	c.cache.put(j.key, pts)
-	j.finish(pts, false)
-}
-
-// handleRoutingSweep forwards the sweep whole: its capacity points
-// share one placement, so it is not splittable into pure tickets.
-func (c *Coordinator) handleRoutingSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitRoutingSweep(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitRoutingSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, priority int, tenant string) *cjob {
-	if _, err := req.resolveDesign(); err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	key, err := req.cacheKey("sweep/routing")
-	if err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	j := c.startJob("sweep/routing", key, priority, tenant, func(j *cjob) {
-		name := "sweep/routing/" + req.normalize().Design + req.normalize().Name
-		env, err := c.runTicket(j, name, "sweep/routing", "/v1/sweeps/routing", req, key)
-		j.finishFromEnvelope(env, err)
-	})
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
+	return pts, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1245,11 +963,12 @@ type batchResponse struct {
 	Jobs []jobResponse `json:"jobs"`
 }
 
-// handleBatch validates every item, then launches them all (202). An
-// invalid item rejects the whole batch before any job starts.
+// handleBatch prepares every item through the kind table, then
+// launches them all (202). An invalid item rejects the whole batch
+// before any job starts.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxRequestBytes), &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1257,78 +976,24 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("batch has no jobs"))
 		return
 	}
-	type launch func() *cjob
-	launches := make([]launch, 0, len(req.Jobs))
+	subs := make([]*submission, len(req.Jobs))
 	for i, item := range req.Jobs {
-		item := item
-		var (
-			err error
-			fn  launch
-		)
-		switch item.Kind {
-		case "run":
-			var rr core.FlowRequest
-			if err = json.Unmarshal(item.Request, &rr); err == nil {
-				if _, err = rr.CacheKey(); err == nil {
-					fn = func() *cjob { return c.submitRun(nil, nil, rr, item.Priority, item.Tenant) }
-				}
-			}
-		case "matrix":
-			var mr MatrixRequest
-			if err = json.Unmarshal(item.Request, &mr); err == nil {
-				if err = mr.validate(); err == nil {
-					fn = func() *cjob { return c.submitMatrix(nil, nil, mr, item.Priority, item.Tenant) }
-				}
-			}
-		case "sweep/granularity":
-			var sr SweepRequest
-			if err = json.Unmarshal(item.Request, &sr); err == nil {
-				if _, err = sr.resolveDesign(); err == nil {
-					fn = func() *cjob { return c.submitGranularitySweep(nil, nil, sr, item.Priority, item.Tenant) }
-				}
-			}
-		case "sweep/routing":
-			var sr SweepRequest
-			if err = json.Unmarshal(item.Request, &sr); err == nil {
-				if _, err = sr.resolveDesign(); err == nil {
-					fn = func() *cjob { return c.submitRoutingSweep(nil, nil, sr, item.Priority, item.Tenant) }
-				}
-			}
-		default:
-			err = fmt.Errorf("unknown job kind %q", item.Kind)
+		k := kindNamed(item.Kind)
+		err := fmt.Errorf("unknown job kind %q", item.Kind)
+		if k != nil {
+			subs[i], err = k.prepare(bytes.NewReader(item.Request))
 		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("batch job %d: %w", i, err))
 			return
 		}
-		launches = append(launches, fn)
 	}
 	c.batches.Add(1)
-	resp := batchResponse{Jobs: make([]jobResponse, 0, len(launches))}
-	for i, fn := range launches {
-		j := fn()
-		if j == nil {
-			// Validation re-ran inside submit and failed; report the slot.
-			resp.Jobs = append(resp.Jobs, jobResponse{Status: "rejected",
-				Error: fmt.Sprintf("batch job %d failed validation", i)})
-			continue
-		}
-		resp.Jobs = append(resp.Jobs, j.response())
+	resp := batchResponse{Jobs: make([]jobResponse, len(subs))}
+	for i, sub := range subs {
+		resp.Jobs[i] = c.startJob(sub, req.Jobs[i].Priority, req.Jobs[i].Tenant).response()
 	}
 	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// handleStatus serves GET /v1/runs/{id} (and its /v1/jobs/{id} alias)
-// for coordinator jobs.
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown or evicted job id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.response())
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the job's merged
@@ -1336,11 +1001,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // worker node's tickets with their per-stage fragments fetched back
 // from the workers that still answer.
 func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
+	j, ok := c.jobs.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown or evicted job id"))
 		return
 	}
 	events := c.mergedTrace(r.Context(), j)
@@ -1462,15 +1124,12 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 			up++
 		}
 	}
-	c.mu.Lock()
-	jobsTracked := len(c.jobs)
-	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"role":           "coordinator",
 		"uptime_seconds": time.Since(c.start).Seconds(),
 		"nodes":          nodes,
 		"nodes_up":       up,
-		"jobs_tracked":   jobsTracked,
+		"jobs_tracked":   c.jobs.tracked(),
 		"cluster": map[string]any{
 			"tickets":           c.tickets.Load(),
 			"ticket_retries":    c.ticketRetries.Load(),
@@ -1480,8 +1139,8 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 			"peer_misses":       c.peerMisses.Load(),
 			"worker_cache_hits": c.workerCacheHits.Load(),
 			"peer_hit_ratio":    c.peerHitRatio(),
-			"jobs_completed":    c.completed.Load(),
-			"jobs_failed":       c.failed.Load(),
+			"jobs_completed":    c.jobs.completed.Load(),
+			"jobs_failed":       c.jobs.failed.Load(),
 		},
 	})
 }
@@ -1497,9 +1156,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 	counter("vpgad_requests_total", "HTTP requests received", c.reqTotal.Load())
-	counter("vpgad_jobs_completed_total", "coordinator jobs that finished successfully", c.completed.Load())
-	counter("vpgad_jobs_failed_total", "coordinator jobs that finished in error", c.failed.Load())
-	counter("vpgad_jobs_timeout_total", "jobs that failed on a wall-clock budget, local or on a remote worker", c.timeouts.Load())
+	counter("vpgad_jobs_completed_total", "coordinator jobs that finished successfully", c.jobs.completed.Load())
+	counter("vpgad_jobs_failed_total", "coordinator jobs that finished in error", c.jobs.failed.Load())
+	counter("vpgad_jobs_timeout_total", "jobs that failed on a wall-clock budget, local or on a remote worker", c.jobs.timeouts.Load())
 	counter("vpgad_cache_hits_total", "composite results served from the coordinator cache", c.cacheHits.Load())
 	counter("vpgad_cache_misses_total", "composite submissions that required ticket execution", c.cacheMisses.Load())
 	counter("vpgad_batches_total", "batch submissions accepted", c.batches.Load())

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
+	"io"
 	"sort"
 
 	"vpga/internal/bench"
@@ -85,188 +85,6 @@ type MatrixResult struct {
 	Claims  *core.Claims                                  `json:"claims,omitempty"`
 }
 
-// buildJob rebuilds a job of the given kind from its canonical JSON
-// body. It is the one constructor both paths share: the HTTP handlers
-// (which journal the body on acceptance) and journal replay (which
-// reads it back after a crash) — so a replayed job is the submitted
-// job, not an approximation of it.
-func (s *Server) buildJob(kind string, body []byte) (*job, error) {
-	switch kind {
-	case "run":
-		var req core.FlowRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildRunJob(req)
-	case "matrix":
-		var req MatrixRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildMatrixJob(req)
-	case "sweep/granularity":
-		var req SweepRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildGranularitySweepJob(req)
-	case "sweep/routing":
-		var req SweepRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildRoutingSweepJob(req)
-	}
-	return nil, fmt.Errorf("unknown job kind %q", kind)
-}
-
-// setBody stamps the job's canonical journal body; a failure leaves
-// body nil, which simply makes the job non-journaled (and therefore
-// lost to a crash — never wrong).
-func (j *job) setBody(req any) {
-	if enc, err := json.Marshal(req); err == nil {
-		j.body = enc
-	}
-}
-
-// buildRunJob validates a flow-run request and assembles its job.
-func (s *Server) buildRunJob(req core.FlowRequest) (*job, error) {
-	key, err := req.CacheKey()
-	if err != nil {
-		return nil, err
-	}
-	n := req.Normalize()
-	label := n.Design + n.Name + "/" + n.Arch.Kind + "/flow " + n.Flow
-	j := s.newJob("run", key, label, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-		run := tr.NewRun(label)
-		defer run.Close()
-		res, err := core.Run(ctx, req, core.ExecOptions{
-			Trace: run, Stages: s.stages,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Report, nil
-	})
-	// The stage-key chain is derivable from the request alone, so it is
-	// available on the job from acceptance — even for cache hits that
-	// never execute.
-	if keys, err := req.StageKeys(); err == nil {
-		j.stageKeys = keys
-	}
-	// Cache a metrics-stripped deep clone: wall-clock artifacts are
-	// execution state, not content, and the cache must never alias a
-	// report already handed to a response encoder.
-	j.cachePrep = func(v any) any {
-		rep := v.(*core.Report).Clone()
-		rep.StripMetrics()
-		return rep
-	}
-	j.ledger = func(v any) []qor.Record {
-		rep, ok := v.(*core.Report)
-		if !ok || rep == nil {
-			return nil
-		}
-		return []qor.Record{qor.FromReport(rep, n.Seed, key)}
-	}
-	j.setBody(req)
-	return j, nil
-}
-
-// buildMatrixJob validates a matrix request and assembles its job.
-func (s *Server) buildMatrixJob(req MatrixRequest) (*job, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	key, err := req.cacheKey()
-	if err != nil {
-		return nil, err
-	}
-	n := req.normalize()
-	j := s.newJob("matrix", key, "matrix/"+n.Scale, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-		opts := core.MatrixOptions{
-			Seed: n.Seed, PlaceEffort: n.PlaceEffort, Parallel: req.Parallel,
-			ContinueOnError: n.ContinueOnError, RepairBudget: n.RepairBudget,
-			Trace: tr, Stages: s.stages,
-		}
-		if n.DefectRate > 0 {
-			opts.Defects = defect.New(n.DefectSeed, n.DefectRate)
-		}
-		m, err := core.RunMatrix(ctx, req.suite(), opts)
-		if err != nil {
-			return nil, err
-		}
-		// Strip wall-clock metrics so the payload depends only on the
-		// request: the fresh response and every later cache hit serve
-		// byte-identical matrices.
-		m.StripMetrics()
-		res := MatrixResult{Reports: m.Reports}
-		for _, fe := range m.Errors {
-			res.Errors = append(res.Errors, fe.Error())
-		}
-		if len(m.Errors) == 0 {
-			res.Table1 = m.Table1()
-			res.Table2 = m.Table2()
-			claims := m.DeriveClaims()
-			res.Claims = &claims
-		}
-		return res, nil
-	})
-	// Matrix cells are not request-shaped (RunMatrix pins clocks across
-	// flows), so their ledger records carry no cache key.
-	j.ledger = func(v any) []qor.Record {
-		res, ok := v.(MatrixResult)
-		if !ok {
-			return nil
-		}
-		var recs []qor.Record
-		for _, archs := range res.Reports {
-			for _, flows := range archs {
-				for _, rep := range flows {
-					if rep != nil {
-						recs = append(recs, qor.FromReport(rep, n.Seed, ""))
-					}
-				}
-			}
-		}
-		sort.Slice(recs, func(i, k int) bool { return recs[i].ID() < recs[k].ID() })
-		return recs
-	}
-	j.setBody(req)
-	return j, nil
-}
-
-// handleRun serves POST /v1/runs: one flow run described by a
-// canonical core.FlowRequest.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req core.FlowRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.buildRunJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, j)
-}
-
-// handleMatrix serves POST /v1/matrix.
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.buildMatrixJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, j)
-}
-
 // SweepRequest is the serializable description of an exploration
 // sweep (POST /v1/sweeps/granularity, POST /v1/sweeps/routing). The
 // design block mirrors core.FlowRequest: a named benchmark at a scale,
@@ -329,38 +147,256 @@ func (r SweepRequest) resolveDesign() (bench.Design, error) {
 	return core.ResolveDesign(n.Design, n.Scale, n.RTL, n.Name)
 }
 
-// buildGranularitySweepJob validates a granularity-sweep request and
-// assembles its job.
-func (s *Server) buildGranularitySweepJob(req SweepRequest) (*job, error) {
+// jobKind declares one job kind once, for both daemon roles: its
+// submission route, its request preparation (strict decode, then
+// validation and normalization) and the decoder reviving its persisted
+// results. Worker and coordinator routes, journal replay, the peer and
+// artifact-store tiers and POST /v1/batch all go through this table.
+type jobKind struct {
+	name   string // "run", "matrix", "sweep/granularity", "sweep/routing"
+	path   string
+	parse  func(body io.Reader) (*submission, error)
+	stored func(raw []byte) (any, error)
+}
+
+var jobKinds = []*jobKind{
+	{name: "run", path: "/v1/runs", parse: decodeKind(prepareRun), stored: func(raw []byte) (any, error) {
+		rep := &core.Report{}
+		return rep, json.Unmarshal(raw, rep)
+	}},
+	{name: "matrix", path: "/v1/matrix", parse: decodeKind(prepareMatrix), stored: storedAs[MatrixResult]},
+	{name: "sweep/granularity", path: "/v1/sweeps/granularity", parse: decodeKind(prepareGranularitySweep), stored: storedAs[[]core.SweepPoint]},
+	{name: "sweep/routing", path: "/v1/sweeps/routing", parse: decodeKind(prepareRoutingSweep), stored: storedAs[[]core.RoutingPoint]},
+}
+
+// kindNamed looks a job kind up by name (nil when unknown).
+func kindNamed(name string) *jobKind {
+	for _, k := range jobKinds {
+		if k.name == name {
+			return k
+		}
+	}
+	return nil
+}
+
+// prepare turns a request body into a validated submission of this
+// kind; an error is the client's fault (a 400).
+func (k *jobKind) prepare(body io.Reader) (*submission, error) {
+	sub, err := k.parse(body)
+	if err != nil {
+		return nil, err
+	}
+	sub.kind = k
+	return sub, nil
+}
+
+// storedAs revives a persisted result as a value of type T. Any decode
+// failure is a miss (the store's contract: corrupt or unreadable
+// entries are recomputed, never fatal).
+func storedAs[T any](raw []byte) (any, error) {
+	var v T
+	err := json.Unmarshal(raw, &v)
+	return v, err
+}
+
+// decodeKind strictly decodes a request of type R, prepares it, and
+// stamps the submission's canonical body.
+func decodeKind[R any](prep func(R) (*submission, error)) func(io.Reader) (*submission, error) {
+	return func(body io.Reader) (*submission, error) {
+		var req R
+		if err := decodeStrict(body, &req); err != nil {
+			return nil, err
+		}
+		sub, err := prep(req)
+		if err != nil {
+			return nil, err
+		}
+		if sub.body, err = json.Marshal(req); err != nil {
+			return nil, err
+		}
+		return sub, nil
+	}
+}
+
+// submission is a validated, normalized request: everything either
+// role needs to admit and execute it.
+type submission struct {
+	kind  *jobKind
+	key   string // content address ("" = uncacheable)
+	label string
+	// body is the canonical JSON of the request — what a worker
+	// journals on acceptance (so replay rebuilds the submitted job, not
+	// an approximation of it) and what a coordinator ships to a worker.
+	body []byte
+	// stageKeys is the run's per-stage key chain (runs only): which
+	// content addresses its artifacts live under, derivable from the
+	// request alone and so known from acceptance.
+	stageKeys []core.StageKey
+
+	// local executes the job on a worker. cachePrep converts its result
+	// into the immutable value the worker caches (nil = as returned);
+	// ledger extracts the result's QoR records for the run ledger (nil =
+	// not ledger-shaped).
+	local     func(ctx context.Context, s *Server, tr *obs.Tracer) (any, error)
+	cachePrep func(any) any
+	ledger    func(any) []qor.Record
+	// remote executes the job on a coordinator by fanning tickets out
+	// over the fleet; cached reports that the result came from a cache.
+	remote func(c *Coordinator, j *job) (result any, cached bool, err error)
+}
+
+// prepareRun validates a flow-run request. A coordinator forwards the
+// run whole to the ring owner of its key.
+func prepareRun(req core.FlowRequest) (*submission, error) {
+	key, err := req.CacheKey()
+	if err != nil {
+		return nil, err
+	}
+	n := req.Normalize()
+	sub := &submission{key: key, label: n.Design + n.Name + "/" + n.Arch.Kind + "/flow " + n.Flow}
+	if keys, err := req.StageKeys(); err == nil {
+		sub.stageKeys = keys
+	}
+	sub.local = func(ctx context.Context, s *Server, tr *obs.Tracer) (any, error) {
+		run := tr.NewRun(sub.label)
+		defer run.Close()
+		res, err := core.Run(ctx, req, core.ExecOptions{Trace: run, Stages: s.stages})
+		if err != nil {
+			return nil, err
+		}
+		return res.Report, nil
+	}
+	// Cache a metrics-stripped deep clone: wall-clock artifacts are
+	// execution state, not content, and the cache must never alias a
+	// report already handed to a response encoder.
+	sub.cachePrep = func(v any) any {
+		rep := v.(*core.Report).Clone()
+		rep.StripMetrics()
+		return rep
+	}
+	sub.ledger = func(v any) []qor.Record {
+		rep, ok := v.(*core.Report)
+		if !ok || rep == nil {
+			return nil
+		}
+		return []qor.Record{qor.FromReport(rep, n.Seed, key)}
+	}
+	sub.remote = func(c *Coordinator, j *job) (any, bool, error) {
+		return c.forward(j, req.TicketLabel())
+	}
+	return sub, nil
+}
+
+// prepareMatrix validates a matrix request. A coordinator splits the
+// matrix into per-cell tickets.
+func prepareMatrix(req MatrixRequest) (*submission, error) {
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	key, err := req.cacheKey()
+	if err != nil {
+		return nil, err
+	}
+	n := req.normalize()
+	sub := &submission{key: key, label: "matrix/" + n.Scale}
+	sub.local = func(ctx context.Context, s *Server, tr *obs.Tracer) (any, error) {
+		opts := core.MatrixOptions{
+			Seed: n.Seed, PlaceEffort: n.PlaceEffort, Parallel: req.Parallel,
+			ContinueOnError: n.ContinueOnError, RepairBudget: n.RepairBudget,
+			Trace: tr, Stages: s.stages,
+		}
+		if n.DefectRate > 0 {
+			opts.Defects = defect.New(n.DefectSeed, n.DefectRate)
+		}
+		m, err := core.RunMatrix(ctx, req.suite(), opts)
+		if err != nil {
+			return nil, err
+		}
+		// Strip wall-clock metrics so the payload depends only on the
+		// request: the fresh response and every later cache hit serve
+		// byte-identical matrices.
+		m.StripMetrics()
+		res := MatrixResult{Reports: m.Reports}
+		for _, fe := range m.Errors {
+			res.Errors = append(res.Errors, fe.Error())
+		}
+		if len(m.Errors) == 0 {
+			res.Table1 = m.Table1()
+			res.Table2 = m.Table2()
+			claims := m.DeriveClaims()
+			res.Claims = &claims
+		}
+		return res, nil
+	}
+	// Matrix cells are not request-shaped (RunMatrix pins clocks across
+	// flows), so their ledger records carry no cache key.
+	sub.ledger = func(v any) []qor.Record {
+		res, ok := v.(MatrixResult)
+		if !ok {
+			return nil
+		}
+		var recs []qor.Record
+		for _, archs := range res.Reports {
+			for _, flows := range archs {
+				for _, rep := range flows {
+					if rep != nil {
+						recs = append(recs, qor.FromReport(rep, n.Seed, ""))
+					}
+				}
+			}
+		}
+		sort.Slice(recs, func(i, k int) bool { return recs[i].ID() < recs[k].ID() })
+		return recs
+	}
+	sub.remote = func(c *Coordinator, j *job) (any, bool, error) {
+		return c.composite(j, func() (any, error) { return c.runMatrix(j, req) })
+	}
+	return sub, nil
+}
+
+// prepareGranularitySweep validates a granularity-sweep request —
+// design and every architecture of the family. A coordinator splits
+// the sweep into per-architecture tickets.
+func prepareGranularitySweep(req SweepRequest) (*submission, error) {
 	d, err := req.resolveDesign()
 	if err != nil {
 		return nil, err
 	}
-	archs := core.DefaultSweepArchs()
-	if len(req.Archs) > 0 {
-		archs = make([]*cells.PLBArch, len(req.Archs))
-		for i, spec := range req.Archs {
-			if archs[i], err = spec.Resolve(); err != nil {
-				return nil, err
-			}
+	n := req.normalize()
+	specs := n.Archs
+	if len(specs) == 0 {
+		specs = core.DefaultSweepArchSpecs()
+	}
+	archs := make([]*cells.PLBArch, len(specs))
+	for i, spec := range specs {
+		if archs[i], err = spec.Resolve(); err != nil {
+			return nil, err
 		}
 	}
 	key, err := req.cacheKey("sweep/granularity")
 	if err != nil {
 		return nil, err
 	}
-	j := s.newJob("sweep/granularity", key, "sweep/"+d.Name, func(ctx context.Context, tr *obs.Tracer) (any, error) {
+	sub := &submission{key: key, label: "sweep/" + d.Name}
+	sub.local = func(ctx context.Context, s *Server, tr *obs.Tracer) (any, error) {
 		return core.RunGranularitySweep(ctx, d, archs, core.SweepOptions{
 			Seed: req.Seed, Parallel: req.Parallel, Trace: tr, Stages: s.stages,
 		})
-	})
-	j.setBody(req)
-	return j, nil
+	}
+	plan := core.SweepPlan{
+		Design: n.Design, Scale: n.Scale, RTL: n.RTL, Name: n.Name,
+		Seed: n.Seed, Archs: specs,
+	}
+	sub.remote = func(c *Coordinator, j *job) (any, bool, error) {
+		return c.composite(j, func() (any, error) { return c.runSweep(j, plan) })
+	}
+	return sub, nil
 }
 
-// buildRoutingSweepJob validates a routing-sweep request and
-// assembles its job.
-func (s *Server) buildRoutingSweepJob(req SweepRequest) (*job, error) {
+// prepareRoutingSweep validates a routing-sweep request. A coordinator
+// forwards the sweep whole: its capacity points share one placement,
+// so it does not split into pure tickets.
+func prepareRoutingSweep(req SweepRequest) (*submission, error) {
 	d, err := req.resolveDesign()
 	if err != nil {
 		return nil, err
@@ -386,76 +422,15 @@ func (s *Server) buildRoutingSweepJob(req SweepRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := s.newJob("sweep/routing", key, "routing/"+d.Name, func(ctx context.Context, tr *obs.Tracer) (any, error) {
+	n := req.normalize()
+	sub := &submission{key: key, label: "routing/" + d.Name}
+	sub.local = func(ctx context.Context, s *Server, tr *obs.Tracer) (any, error) {
 		return core.RunRoutingSweep(ctx, d, arch, capacities, core.SweepOptions{
 			Seed: req.Seed, Parallel: req.Parallel, Trace: tr, Stages: s.stages,
 		})
-	})
-	j.setBody(req)
-	return j, nil
-}
-
-// handleGranularitySweep serves POST /v1/sweeps/granularity.
-func (s *Server) handleGranularitySweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
 	}
-	j, err := s.buildGranularitySweepJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	sub.remote = func(c *Coordinator, j *job) (any, bool, error) {
+		return c.forward(j, "sweep/routing/"+n.Design+n.Name)
 	}
-	s.dispatch(w, r, j)
-}
-
-// handleRoutingSweep serves POST /v1/sweeps/routing.
-func (s *Server) handleRoutingSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.buildRoutingSweepJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, j)
-}
-
-// decodeStored revives a persisted result payload as the live value
-// its kind serves — the inverse of the JSON encoding persistResult
-// stored. Any decode failure is a miss (the store's contract: corrupt
-// or unreadable entries are recomputed, never fatal).
-func decodeStored(kind string, raw []byte) (any, bool) {
-	var (
-		v   any
-		err error
-	)
-	switch kind {
-	case "run":
-		rep := &core.Report{}
-		err = json.Unmarshal(raw, rep)
-		v = rep
-	case "matrix":
-		var m MatrixResult
-		err = json.Unmarshal(raw, &m)
-		v = m
-	case "sweep/granularity":
-		var pts []core.SweepPoint
-		err = json.Unmarshal(raw, &pts)
-		v = pts
-	case "sweep/routing":
-		var pts []core.RoutingPoint
-		err = json.Unmarshal(raw, &pts)
-		v = pts
-	default:
-		return nil, false
-	}
-	if err != nil {
-		return nil, false
-	}
-	return v, true
+	return sub, nil
 }

@@ -24,6 +24,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -117,113 +118,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// job is one queued unit of work: a closure over its resolved request
-// plus the bookkeeping the status and trace endpoints serve.
-type job struct {
-	id      string
-	kind    string // "run", "matrix", "sweep/granularity", "sweep/routing"
-	key     string // content address ("" = uncacheable)
-	label   string
-	tracer  *obs.Tracer
-	created time.Time
-	// exec runs the job; cachePrep converts its result into the
-	// immutable value stored in the cache (nil = store as returned);
-	// ledger extracts the result's QoR records for the run ledger
-	// (nil = the job is not ledger-shaped).
-	exec      func(ctx context.Context, tr *obs.Tracer) (any, error)
-	cachePrep func(any) any
-	ledger    func(any) []qor.Record
-	// body is the canonical JSON of the originating request — what the
-	// journal persists on acceptance so replay can rebuild the job
-	// (nil = not journaled).
-	body []byte
-	// stageKeys is the run's per-stage key chain (run jobs only):
-	// which content addresses the job's artifacts live under, so
-	// clients can see which prefix the run will reuse.
-	stageKeys []core.StageKey
-	// traceID is the distributed trace this job belongs to, taken from
-	// the X-Vpga-Trace header a coordinator stamped on the submission
-	// ("" = untraced local job).
-	traceID string
-	// replayed marks a job rebuilt from the journal after a restart.
-	replayed bool
-
-	done chan struct{} // closed when the job reaches done/failed
-
-	mu      sync.Mutex
-	status  string // "queued", "running", "done", "failed"
-	result  any
-	errMsg  string
-	stage   string // failing flow stage, when known
-	errKind string // machine-readable class: "timeout", "cancelled", ""
-}
-
-func (j *job) setStatus(s string) {
-	j.mu.Lock()
-	j.status = s
-	j.mu.Unlock()
-}
-
-// complete records the outcome and wakes waiters.
-func (j *job) complete(result any, err error) {
-	j.mu.Lock()
-	if err != nil {
-		j.status = "failed"
-		j.errMsg = err.Error()
-		j.errKind = errKind(err)
-		var fe *core.FlowError
-		if errors.As(err, &fe) {
-			j.stage = fe.Stage
-		}
-	} else {
-		j.status = "done"
-		j.result = result
-	}
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// response snapshots the job as its API representation.
-func (j *job) response() jobResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return jobResponse{
-		ID: j.id, Kind: j.kind, Status: j.status, Key: j.key,
-		Result: j.result, Error: j.errMsg, Stage: j.stage, ErrorKind: j.errKind,
-		StageKeys: j.stageKeys, TraceID: j.traceID,
-	}
-}
-
-// jobResponse is the envelope of every job-shaped endpoint. Result is
-// kind-specific: *core.Report for runs, MatrixResult for matrices,
-// []core.SweepPoint / []core.RoutingPoint for sweeps.
-type jobResponse struct {
-	ID     string `json:"id,omitempty"`
-	Kind   string `json:"kind,omitempty"`
-	Status string `json:"status"`
-	Cached bool   `json:"cached"`
-	Key    string `json:"key,omitempty"`
-	Result any    `json:"result,omitempty"`
-	Error  string `json:"error,omitempty"`
-	Stage  string `json:"stage,omitempty"`
-	// ErrorKind is the machine-readable failure class ("timeout",
-	// "cancelled") a coordinator keys off — a timeout that happened on a
-	// remote worker must still count as a timeout when the envelope
-	// comes back over HTTP, without parsing the error string.
-	ErrorKind string `json:"error_kind,omitempty"`
-	// StageKeys is the run's per-stage key chain (run jobs only): the
-	// content addresses of the stage-granular build-cache artifacts the
-	// run reads and writes, in pipeline order.
-	StageKeys []core.StageKey `json:"stage_keys,omitempty"`
-	// TraceID is the distributed trace the job belongs to — minted by
-	// the coordinator per client job, or echoed from the X-Vpga-Trace
-	// header a submission carried ("" = untraced).
-	TraceID string `json:"trace_id,omitempty"`
-	// RequestID echoes the request's X-Request-ID on error envelopes so
-	// a rejected submission is correlatable in logs without headers.
-	RequestID string `json:"request_id,omitempty"`
-}
-
 // Server is the flow service. Create with New, serve with any
 // http.Server (it implements http.Handler), stop with Shutdown.
 type Server struct {
@@ -245,23 +139,20 @@ type Server struct {
 	// reuse each other's artifacts across jobs and restarts.
 	stages *core.StageCache
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	inflight  map[string]*job // queued/running jobs by cache key (dedupe)
-	doneOrder []string        // completed jobs, oldest first, for eviction
-	draining  bool
+	jobs *jobRegistry
+
+	mu       sync.Mutex
+	inflight map[string]*job // queued/running jobs by cache key (dedupe)
+	draining bool
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
-	nextID  atomic.Int64
 	start   time.Time
 
 	// Metrics counters (atomic; surfaced by /metrics).
 	reqTotal, cacheHits, cacheMisses atomic.Int64
-	rejected, completed, failed      atomic.Int64
-	timeouts                         atomic.Int64
-	running                          atomic.Int64
+	rejected, running                atomic.Int64
 	ledgerRecords, ledgerErrors      atomic.Int64
 	replayed                         atomic.Int64
 	ioRetries, ioRecoveries          atomic.Int64
@@ -305,7 +196,6 @@ func New(opts Options) (*Server, error) {
 		journal:  jn,
 		store:    store,
 		stages:   core.NewStageCache(store),
-		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -319,16 +209,23 @@ func New(opts Options) (*Server, error) {
 	if opts.Node != "" {
 		s.log = s.log.With("node", opts.Node)
 	}
-	s.mux.HandleFunc("POST /v1/runs", s.handleRun)
-	s.mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
-	s.mux.HandleFunc("POST /v1/sweeps/granularity", s.handleGranularitySweep)
-	s.mux.HandleFunc("POST /v1/sweeps/routing", s.handleRoutingSweep)
-	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
+	var record func(journalEntry)
+	if jn != nil {
+		// A journal failure after bounded retry is availability over
+		// durability: the job still runs, it just would not survive a
+		// crash, and the error counter records the gap.
+		record = func(e journalEntry) { s.retryIO(func() error { return jn.append(e, true) }) }
+	}
+	s.jobs = newJobRegistry("j", opts.JobsKeep, s.log, record)
+	for _, k := range jobKinds {
+		s.mux.HandleFunc("POST "+k.path, handleSubmit(k, s.dispatch))
+	}
+	s.mux.HandleFunc("GET /v1/runs/{id}", s.jobs.handleStatus)
 	s.mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	// Aliases matching the coordinator's job-shaped routes, so tooling
 	// can poll either daemon role with one URL scheme.
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.jobs.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheLookup)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -378,8 +275,8 @@ func (s *Server) replayJournal(entries []journalEntry) {
 	}
 	// Resume the ID sequence past every journaled job, so replayed IDs
 	// never collide with fresh submissions.
-	if maxID > s.nextID.Load() {
-		s.nextID.Store(maxID)
+	if maxID > s.jobs.nextID.Load() {
+		s.jobs.nextID.Store(maxID)
 	}
 	var (
 		jobs []*job
@@ -390,14 +287,18 @@ func (s *Server) replayJournal(entries []journalEntry) {
 		if a.terminal {
 			continue
 		}
-		j, err := s.buildJob(a.entry.Kind, a.entry.Body)
+		k := kindNamed(a.entry.Kind)
+		if k == nil {
+			continue
+		}
+		sub, err := k.prepare(bytes.NewReader(a.entry.Body))
 		if err != nil {
 			// The body no longer builds (schema drift); drop the job —
 			// the client's resubmission will be validated afresh.
 			continue
 		}
+		j := s.newJob(sub)
 		j.id = id
-		j.replayed = true
 		jobs = append(jobs, j)
 		e := a.entry
 		e.Seq = int64(len(keep) + 1)
@@ -412,7 +313,7 @@ func (s *Server) replayJournal(entries []journalEntry) {
 		// queue send happens to land.
 		s.mu.Lock()
 		for _, j := range jobs {
-			s.jobs[j.id] = j
+			s.jobs.register(j)
 			if j.key != "" {
 				s.inflight[j.key] = j
 			}
@@ -437,7 +338,7 @@ func jobIDNum(id string) int64 {
 
 // enqueueReplay feeds replayed jobs into the queue with blocking
 // backpressure (a restart may hold more incomplete jobs than the
-// queue bounds). The jobs are already registered in s.jobs; this only
+// queue bounds). The jobs are already registered; this only
 // performs the queue sends. Sends happen under the server mutex with
 // draining checked, so a concurrent Shutdown — which closes the queue
 // under the same mutex — can never race a send onto a closed channel.
@@ -531,7 +432,7 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(j *job) {
-	j.setStatus("running")
+	j.start()
 	s.queueWait.observe(time.Since(j.created).Seconds())
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -549,7 +450,7 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	execStart := time.Now()
-	res, err := j.exec(ctx, j.tracer)
+	res, err := j.local(ctx, s, j.tracer)
 	// An injected transient fault (a stage-boundary disk error the
 	// harness modeled) is retried end-to-end with jittered backoff:
 	// flows are deterministic, so the re-run recomputes the same
@@ -558,20 +459,14 @@ func (s *Server) runJob(j *job) {
 		errors.Is(err, faultinject.ErrInjected) && ctx.Err() == nil; attempt++ {
 		s.ioRetries.Add(1)
 		time.Sleep(time.Duration(attempt) * 2 * time.Millisecond)
-		res, err = j.exec(ctx, j.tracer)
+		res, err = j.local(ctx, s, j.tracer)
 		if err == nil {
 			s.ioRecoveries.Add(1)
 		}
 	}
 	s.jobDur.observe(time.Since(execStart).Seconds())
 	s.observeStages(j.tracer)
-	if err != nil {
-		s.failed.Add(1)
-		if isTimeout(err) {
-			s.timeouts.Add(1)
-		}
-	} else {
-		s.completed.Add(1)
+	if err == nil {
 		s.appendLedger(j, res)
 		if j.key != "" {
 			v := res
@@ -582,16 +477,12 @@ func (s *Server) runJob(j *job) {
 			s.persistResult(j, v)
 		}
 	}
-	s.journalTerminal(j, err)
-	if err != nil {
-		s.log.Warn("job failed", "job_id", j.id, "kind", j.kind, "trace_id", j.traceID,
-			"duration", time.Since(execStart).Round(time.Millisecond), "error", err)
-	} else {
-		s.log.Info("job done", "job_id", j.id, "kind", j.kind, "trace_id", j.traceID,
-			"duration", time.Since(execStart).Round(time.Millisecond))
+	s.jobs.finish(j, res, false, err)
+	s.mu.Lock()
+	if j.key != "" && s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
 	}
-	j.complete(res, err)
-	s.retire(j)
+	s.mu.Unlock()
 }
 
 // persistResult spills a completed result to the artifact store, so a
@@ -607,57 +498,6 @@ func (s *Server) persistResult(j *job, v any) {
 		return
 	}
 	s.retryIO(func() error { return s.store.Put(j.key, enc) })
-}
-
-// journalTerminal durably records the job's outcome. The fsynced
-// terminal entry is what lets the post-restart replay skip the job;
-// if the append ultimately fails the job merely replays after a crash
-// — recomputing a deterministic flow, never corrupting state.
-func (s *Server) journalTerminal(j *job, jobErr error) {
-	if s.journal == nil {
-		return
-	}
-	e := journalEntry{ID: j.id, State: "done"}
-	if jobErr != nil {
-		e.State = "failed"
-		e.Error = jobErr.Error()
-		var fe *core.FlowError
-		if errors.As(jobErr, &fe) {
-			e.Stage = fe.Stage
-		}
-	}
-	s.retryIO(func() error { return s.journal.append(e, true) })
-}
-
-// isTimeout reports whether a job failed on its wall-clock budget:
-// either the context deadline surfaced directly or the flow supervisor
-// already classified the failing stage as "timeout".
-func isTimeout(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var fe *core.FlowError
-	return errors.As(err, &fe) && fe.Stage == "timeout"
-}
-
-// errKind distills a job error into the machine-readable class the
-// response envelope carries ("" = unclassified). Coordinators use it
-// to keep cluster-level counters (vpgad_jobs_timeout_total) correct
-// for failures that happened on a remote worker.
-func errKind(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case isTimeout(err):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "cancelled"
-	}
-	var fe *core.FlowError
-	if errors.As(err, &fe) && fe.Stage == "cancelled" {
-		return "cancelled"
-	}
-	return ""
 }
 
 // observeStages feeds the job's stage spans into the per-stage
@@ -697,36 +537,11 @@ func (s *Server) appendLedger(j *job, res any) {
 	s.ledgerRecords.Add(int64(len(recs)))
 }
 
-// retire enforces the completed-job retention bound: job records —
-// status and tracer — beyond Options.JobsKeep are evicted oldest
-// first. The result cache keeps serving evicted jobs' results.
-func (s *Server) retire(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.key != "" && s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.doneOrder = append(s.doneOrder, j.id)
-	for len(s.doneOrder) > s.opts.JobsKeep {
-		old := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
-		delete(s.jobs, old)
-	}
-}
-
-// newJob allocates a job record.
-func (s *Server) newJob(kind, key, label string, exec func(context.Context, *obs.Tracer) (any, error)) *job {
-	return &job{
-		id:      fmt.Sprintf("j%06d", s.nextID.Add(1)),
-		kind:    kind,
-		key:     key,
-		label:   label,
-		tracer:  obs.NewTracer(),
-		created: time.Now(),
-		exec:    exec,
-		done:    make(chan struct{}),
-		status:  "queued",
-	}
+// newJob mints a worker job record for an admitted submission.
+func (s *Server) newJob(sub *submission) *job {
+	j := s.jobs.newJob(sub)
+	j.tracer = obs.NewTracer()
+	return j
 }
 
 // submit enqueues a job with explicit backpressure: a full queue is a
@@ -734,9 +549,7 @@ func (s *Server) newJob(kind, key, label string, exec func(context.Context, *obs
 // block a worker or the caller. An accepted job is journaled (fsync)
 // before the acceptance is visible, to clients and to workers alike,
 // so a worker's "running" entry always follows it; a full queue
-// journals nothing. A journal failure after bounded retry is
-// availability-over-durability — the job still runs, it just would
-// not survive a crash, and the error counter records the gap.
+// journals nothing.
 func (s *Server) submit(j *job) (status int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -750,59 +563,20 @@ func (s *Server) submit(j *job) (status int, err error) {
 		return http.StatusTooManyRequests,
 			fmt.Errorf("queue full (%d pending); retry later", cap(s.queue))
 	}
-	if s.journal != nil && j.body != nil {
-		e := journalEntry{ID: j.id, State: "accepted", Kind: j.kind, Key: j.key, Body: j.body}
-		s.retryIO(func() error { return s.journal.append(e, true) })
-	}
-	s.jobs[j.id] = j
+	s.jobs.accept(j)
 	if j.key != "" {
 		s.inflight[j.key] = j
 	}
 	s.queue <- j
-	s.log.Info("job accepted", "job_id", j.id, "kind", j.kind, "label", j.label, "trace_id", j.traceID)
 	return 0, nil
 }
 
-// decodeJSON strictly decodes a bounded request body.
-func decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("request body: %w", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, jobResponse{
-		Status: "rejected", Error: err.Error(),
-		RequestID: responseRequestID(w),
-	})
-}
-
-// wantWait reports whether the request asked to block until the job
-// completes (?wait=1 / ?wait=true).
-func wantWait(r *http.Request) bool {
-	switch r.URL.Query().Get("wait") {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
-}
-
-// dispatch is the tail every submission endpoint shares: cache lookup
-// (memory LRU, then the persistent artifact store), in-flight dedupe,
-// enqueue with backpressure, and the synchronous-wait option.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, j *job) {
+// dispatch is the worker's admission for every submission route: cache
+// lookup (memory LRU, then the persistent artifact store, then peers),
+// in-flight dedupe, enqueue with backpressure, and the synchronous-wait
+// option.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sub *submission) {
+	j := s.newJob(sub)
 	// Thread the coordinator's trace context (if any) into the job and
 	// its tracer before any answer path: cached responses echo the
 	// trace ID too, and the tracer stamps it on the job's Chrome trace
@@ -829,8 +603,8 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, j *job) {
 	// only (no artifact-store write — the peer already persists it);
 	// a corrupt payload is a miss and the job computes locally.
 	if s.opts.PeerLookup != nil && j.key != "" {
-		if raw, ok := s.opts.PeerLookup(r.Context(), j.kind, j.key); ok {
-			if v, decoded := decodeStored(j.kind, raw); decoded {
+		if raw, ok := s.opts.PeerLookup(r.Context(), j.kind.name, j.key); ok {
+			if v, err := j.kind.stored(raw); err == nil {
 				s.peerHits.Add(1)
 				s.cache.put(j.key, v)
 				writeCached(w, j, v)
@@ -889,38 +663,20 @@ func retryAfterHint(depth, workers int, medianSec float64) int {
 	return hint
 }
 
-// respondJob answers a submission with the job's state, optionally
-// blocking on ?wait=1 until it completes.
-func respondJob(w http.ResponseWriter, r *http.Request, j *job) {
-	if wantWait(r) {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
-			// Client gone; the job keeps running. Report where it stands.
-		}
-	}
-	resp := j.response()
-	status := http.StatusAccepted
-	if resp.Status == "done" || resp.Status == "failed" {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, resp)
-}
-
 // writeCached answers a submission from a cached value.
 func writeCached(w http.ResponseWriter, j *job, v any) {
 	if rep, isReport := v.(*core.Report); isReport {
 		v = rep.Clone() // never hand the cached report itself to encoders
 	}
 	writeJSON(w, http.StatusOK, jobResponse{
-		Kind: j.kind, Status: "done", Cached: true, Key: j.key, Result: v,
+		Kind: j.kind.name, Status: "done", Cached: true, Key: j.key, Result: v,
 		TraceID: j.traceID,
 	})
 }
 
 // storeGet consults the persistent artifact store for a completed
 // result of this kind; every failure mode inside the store is a miss.
-func (s *Server) storeGet(key, kind string) (any, bool) {
+func (s *Server) storeGet(key string, kind *jobKind) (any, bool) {
 	if s.store == nil || key == "" {
 		return nil, false
 	}
@@ -928,7 +684,8 @@ func (s *Server) storeGet(key, kind string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	return decodeStored(kind, raw)
+	v, err := kind.stored(raw)
+	return v, err == nil
 }
 
 // handleCacheLookup serves GET /v1/cache/{key}: the lookup-only peer
@@ -959,26 +716,11 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, errors.New("no cached result for key"))
 }
 
-// handleStatus serves GET /v1/runs/{id}.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown or evicted job id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.response())
-}
-
 // handleTrace serves GET /v1/runs/{id}/trace: the job's Chrome
 // trace-event JSON (chrome://tracing, ui.perfetto.dev).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
+	j, ok := s.jobs.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown or evicted job id"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1047,8 +789,8 @@ func (s *Server) stats() statsSnapshot {
 		CacheEntries:  s.cache.len(),
 
 		ReqTotal: s.reqTotal.Load(), CacheHits: s.cacheHits.Load(), CacheMisses: s.cacheMisses.Load(),
-		Rejected: s.rejected.Load(), Completed: s.completed.Load(), Failed: s.failed.Load(),
-		Timeouts: s.timeouts.Load(), CacheEvictions: s.cache.evictions(),
+		Rejected: s.rejected.Load(), Completed: s.jobs.completed.Load(), Failed: s.jobs.failed.Load(),
+		Timeouts: s.jobs.timeouts.Load(), CacheEvictions: s.cache.evictions(),
 		LedgerRecords: s.ledgerRecords.Load(), LedgerErrors: s.ledgerErrors.Load(),
 
 		JournalLastFsyncAgeSeconds: -1,
@@ -1192,11 +934,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // final "done" event carries the terminal status) or the client
 // disconnects.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
+	j, ok := s.jobs.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown or evicted job id"))
 		return
 	}
 	flusher, canFlush := w.(http.Flusher)

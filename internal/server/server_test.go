@@ -214,33 +214,39 @@ func TestStatusAndTrace(t *testing.T) {
 }
 
 // TestInvalidRequests: malformed and semantically invalid submissions
-// are 400s, unknown jobs 404s.
+// are 400s, unknown jobs 404s — on a worker and on a coordinator alike,
+// since both roles validate through the one kind table.
 func TestInvalidRequests(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/runs", `{"design":"alu","unknown_field":1}`},
-		{"/v1/runs", `{"design":"no-such-design"}`},
-		{"/v1/runs", `{"design":"alu","arch":{"kind":"bogus"}}`},
-		{"/v1/runs", `{"design":"alu","rtl":"also-rtl"}`},
-		{"/v1/runs", `{"design":"alu","defect_rate":1.5}`},
-		{"/v1/matrix", `{"scale":"huge"}`},
-		{"/v1/sweeps/routing", `{"design":"alu","capacities":[0]}`},
-	} {
-		resp, jr := postJSON(t, ts, tc.path, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+	_, worker := newTestServer(t, Options{Workers: 1})
+	_, coord := newTestCoordinator(t, CoordinatorOptions{Workers: newWorkerFleet(t, 1)})
+	for _, ts := range []*httptest.Server{worker, coord} {
+		for _, tc := range []struct{ path, body string }{
+			{"/v1/runs", `{"design":"alu","unknown_field":1}`},
+			{"/v1/runs", `{"design":"no-such-design"}`},
+			{"/v1/runs", `{"design":"alu","arch":{"kind":"bogus"}}`},
+			{"/v1/runs", `{"design":"alu","rtl":"also-rtl"}`},
+			{"/v1/runs", `{"design":"alu","defect_rate":1.5}`},
+			{"/v1/matrix", `{"scale":"huge"}`},
+			{"/v1/sweeps/routing", `{"design":"alu","capacities":[0]}`},
+			{"/v1/sweeps/routing", `{"design":"alu","arch":{"kind":"bogus"}}`},
+			{"/v1/sweeps/granularity", `{"design":"alu","archs":[{"kind":"bogus"}]}`},
+		} {
+			resp, jr := postJSON(t, ts, tc.path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s %s: status %d, want 400", ts.URL, tc.path, tc.body, resp.StatusCode)
+			}
+			if jr.Error == "" {
+				t.Errorf("%s %s %s: 400 without error message", ts.URL, tc.path, tc.body)
+			}
 		}
-		if jr.Error == "" {
-			t.Errorf("%s %s: 400 without error message", tc.path, tc.body)
+		resp, err := http.Get(ts.URL + "/v1/runs/j999999")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/runs/j999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: status %d, want 404", resp.StatusCode)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s unknown job: status %d, want 404", ts.URL, resp.StatusCode)
+		}
 	}
 }
 
@@ -666,8 +672,8 @@ func TestJobTimeoutCounter(t *testing.T) {
 	if jr.Status != "failed" {
 		t.Fatalf("job with 1ns budget finished %q", jr.Status)
 	}
-	if s.failed.Load() != 1 || s.timeouts.Load() != 1 {
-		t.Fatalf("failed/timeout counters: %d/%d, want 1/1", s.failed.Load(), s.timeouts.Load())
+	if s.jobs.failed.Load() != 1 || s.jobs.timeouts.Load() != 1 {
+		t.Fatalf("failed/timeout counters: %d/%d, want 1/1", s.jobs.failed.Load(), s.jobs.timeouts.Load())
 	}
 	if v, ok := metricValue(metricsText(t, ts), "vpgad_jobs_timeout_total"); !ok || v != 1 {
 		t.Fatalf("vpgad_jobs_timeout_total = %g (found=%v), want 1", v, ok)
