@@ -183,24 +183,86 @@ func sortLedger(errs []*FlowError) {
 	})
 }
 
-// RunMatrix executes every (design, arch, flow) combination on a
-// bounded worker pool under the flow supervisor. The clock period of
-// each design is fixed across its four runs — 1.2× the post-layout
-// arrival of the first run — so slack comparisons are apples to
-// apples, mirroring the paper's single cycle time per table. Designs
-// run concurrently; within a design the two PLBs fan out as soon as
-// the clock-pinning run finishes, and each PLB runs its flows in
-// order, so flow b restores the map/compact/place prefix flow a left
-// in the stage cache (see MatrixOptions.Stages) at any Parallel.
-//
-// Failures never crash or hang the pool: a panicking worker, a timed
-// out run, or an unroutable defect map becomes a *FlowError in the
-// returned matrix's ledger. With opts.ContinueOnError the remaining
-// cells still run and the partially-populated matrix is returned with
-// a nil error; otherwise the pool drains and RunMatrix returns the
-// partial matrix together with the first error. Cancelling ctx stops
-// the matrix at the next iteration boundary of every in-flight run.
+// Cell is one flow run of a composite experiment: a Table 1/2 matrix
+// cell or a granularity-sweep point. RunMatrixWith and
+// RunGranularitySweepWith decide which cells run, in what order and at
+// which clock; a CellRunner decides how one cell runs — in process, or
+// shipped elsewhere as the FlowRequest Request builds. Every cell is a
+// pure function of that request, so a composite comes out the same
+// whatever runs its cells.
+type Cell struct {
+	Design bench.Design
+	Arch   *cells.PLBArch
+	Flow   FlowKind
+	// Clock is the pinned clock period in ps; 0 on a clock-pinning
+	// cell, whose run derives its own.
+	Clock float64
+	// Label names the cell on traces and schedules
+	// ("ALU/lut-plb/flow b", "sweep/ALU/ff-rich").
+	Label string
+
+	design string   // the request's design name ("" = the base's)
+	spec   ArchSpec // Arch as a request spec
+}
+
+// CellRunner executes one cell and returns its report. It must return
+// what Run returns for the cell's request: the report, or the run's
+// error (a *FlowError keeps its stage in the composite's ledger).
+type CellRunner func(ctx context.Context, c Cell) (*Report, error)
+
+// RunMatrix executes every (design, arch, flow) combination in process
+// under the flow supervisor: RunMatrixWith's orchestration, with each
+// cell run by RunConfig against one stage cache and one router-state
+// pool. Every run is bounded by opts.PerRunTimeout and traced on its
+// own opts.Trace row.
 func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Matrix, error) {
+	if opts.Stages == nil {
+		opts.Stages = newMatrixStageCache()
+	}
+	// All cells share one router-state pool: the grids are similarly
+	// shaped, so after warm-up each run checks out ready-sized scratch
+	// instead of allocating it. Reuse never changes reports.
+	pool := route.NewPool()
+	return RunMatrixWith(ctx, suite, opts, func(ctx context.Context, c Cell) (*Report, error) {
+		cfg := Config{
+			Arch: c.Arch, Flow: c.Flow, ClockPeriod: c.Clock,
+			Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
+			Verify: opts.Verify, Defects: opts.Defects, RepairBudget: opts.RepairBudget,
+			Stages: opts.Stages, routePool: pool, Trace: opts.Trace.NewRun(c.Label),
+		}
+		defer cfg.Trace.Close()
+		if opts.PerRunTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, opts.PerRunTimeout)
+			defer cancel()
+		}
+		rep, _, err := RunConfig(ctx, c.Design, cfg)
+		return rep, err
+	})
+}
+
+// RunMatrixWith is the matrix orchestration, with each cell executed
+// by run. The clock period of each design is fixed across its four
+// runs — 1.2× the post-layout arrival of its granular / flow a run —
+// so slack comparisons are apples to apples, mirroring the paper's
+// single cycle time per table. Designs run concurrently; within a
+// design the two PLBs fan out as soon as the clock-pinning run
+// finishes, and each PLB runs its flows in order, so flow b restores
+// the map/compact/place prefix flow a left in opts.Stages at any
+// Parallel. Of opts, only Parallel, Progress, ContinueOnError and
+// Stages (whose in-memory prefixes are dropped once a PLB finishes)
+// steer the orchestration; the rest is for run to honor.
+//
+// Failures never crash or hang the pool: an error from run becomes a
+// *FlowError in the returned matrix's ledger. With
+// opts.ContinueOnError the remaining cells still run and the
+// partially-populated matrix is returned with a nil error; otherwise a
+// cell that has not started is skipped once an earlier cell (in
+// canonical (design, arch, flow) order) has failed, and RunMatrixWith
+// returns the partial matrix with the earliest cell's error — the
+// same error at any Parallel and for any run. Cancelling ctx stops the
+// matrix at the next cell boundary; run should honor it within a cell.
+func RunMatrixWith(ctx context.Context, suite bench.Suite, opts MatrixOptions, run CellRunner) (*Matrix, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -208,16 +270,10 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	stages := opts.Stages
-	if stages == nil {
-		stages = newMatrixStageCache()
-	}
 	m := &Matrix{Designs: suite.All(), Reports: map[string]map[string]map[string]*Report{}}
 	archs := []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()}
-	// All cells share one router-state pool: the grids are similarly
-	// shaped, so after warm-up each run checks out ready-sized scratch
-	// instead of allocating it. Reuse never changes reports.
-	pool := route.NewPool()
+	specs := []ArchSpec{{Kind: "granular"}, {Kind: "lut"}}
+	flows := []FlowKind{FlowA, FlowB}
 
 	// Report maps are pre-built sequentially so workers only write leaf
 	// entries (under mu).
@@ -229,80 +285,74 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 	}
 
 	var (
-		sem      = make(chan struct{}, par)
-		mu       sync.Mutex // guards Reports, Errors, firstErr
-		firstErr error
-		wg       sync.WaitGroup
-		emitter  *progressEmitter
+		sem     = make(chan struct{}, par)
+		mu      sync.Mutex // guards Reports, Errors, failSeq, failErr
+		failSeq int        // canonical index of failErr's cell
+		failErr *FlowError // the earliest failed cell's error so far
+		wg      sync.WaitGroup
+		emitter *progressEmitter
 	)
 	if opts.Progress != nil {
 		emitter = newProgressEmitter(opts.Progress)
 	}
-	// Every cell owns a pre-assigned progress ticket — its canonical
-	// index in (design, arch, flow) order — so the emitter delivers
-	// lines in the same order at any worker count.
-	flows := []FlowKind{FlowA, FlowB}
+	// Every cell owns a pre-assigned sequence number — its canonical
+	// index in (design, arch, flow) order. It is the cell's progress
+	// ticket, so the emitter delivers lines in the same order at any
+	// worker count, and it picks the returned error.
 	seq := func(di, ai, fi int) int { return di*len(archs)*len(flows) + ai*len(flows) + fi }
+	cell := func(di, ai, fi int, clock float64) Cell {
+		d, arch := m.Designs[di], archs[ai]
+		return Cell{
+			Design: d, Arch: arch, Flow: flows[fi], Clock: clock,
+			Label:  d.Name + "/" + arch.Name + "/" + flows[fi].String(),
+			design: suiteDesigns[di], spec: specs[ai],
+		}
+	}
 	skip := func(ticket int) {
 		if emitter != nil {
 			emitter.deposit(ticket, "")
 		}
 	}
-	fail := func(fe *FlowError) {
+	fail := func(ticket int, fe *FlowError) {
 		mu.Lock()
 		m.Errors = append(m.Errors, fe)
-		if firstErr == nil {
-			firstErr = fe
+		if failErr == nil || ticket < failSeq {
+			failSeq, failErr = ticket, fe
 		}
 		mu.Unlock()
+		skip(ticket)
 	}
-	// runOne executes one flow run on a pool slot; it returns nil
-	// without running when the matrix is already aborting. A nil
+	// runOne executes one cell on a pool slot; it returns nil without
+	// running when an earlier cell already failed the matrix. A nil
 	// return always deposits the cell's placeholder ticket.
-	runOne := func(d bench.Design, arch *cells.PLBArch, flow FlowKind, clock float64, ticket int) *Report {
+	runOne := func(c Cell, ticket int) *Report {
 		sem <- struct{}{}
 		defer func() { <-sem }()
 		mu.Lock()
-		bail := firstErr != nil && !opts.ContinueOnError
+		bail := failErr != nil && failSeq < ticket && !opts.ContinueOnError
 		mu.Unlock()
-		cfg := Config{
-			Arch: arch, Flow: flow, ClockPeriod: clock,
-			Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
-			Verify: opts.Verify, Defects: opts.Defects, RepairBudget: opts.RepairBudget,
-			Stages: stages, routePool: pool,
-		}
 		if bail {
 			skip(ticket)
 			return nil
 		}
-		if err := ctxFlowErr(ctx, d, cfg); err != nil {
-			fail(err)
-			skip(ticket)
+		if err := ctxFlowErr(ctx, c.Design, Config{Arch: c.Arch, Flow: c.Flow}); err != nil {
+			fail(ticket, err)
 			return nil
 		}
-		cfg.Trace = opts.Trace.NewRun(d.Name + "/" + arch.Name + "/" + flow.String())
-		defer cfg.Trace.Close()
-		runCtx := ctx
-		if opts.PerRunTimeout > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(ctx, opts.PerRunTimeout)
-			defer cancel()
-		}
-		rep, _, err := RunConfig(runCtx, d, cfg)
+		rep, err := run(ctx, c)
 		if err != nil {
-			fail(asFlowError(d, arch, flow, err))
-			skip(ticket)
+			fail(ticket, asFlowError(c.Design, c.Arch, c.Flow, err))
 			return nil
 		}
 		return rep
 	}
-	store := func(d bench.Design, arch *cells.PLBArch, flow FlowKind, rep *Report, ticket int) {
+	store := func(c Cell, rep *Report, ticket int) {
 		line := ""
 		if emitter != nil {
 			line = rep.summary()
 		}
 		mu.Lock()
-		m.Reports[d.Name][arch.Name][flow.String()] = rep
+		m.Reports[c.Design.Name][c.Arch.Name][c.Flow.String()] = rep
 		mu.Unlock()
 		// The Progress callback runs on the emitter goroutine, never
 		// under mu: a slow callback cannot serialize the pool.
@@ -310,78 +360,76 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			emitter.deposit(ticket, line)
 		}
 	}
-	// skipDependents records the three clock-dependent cells of a design
-	// whose clock-pinning run failed, so the ledger accounts for every
-	// cell that did not produce a report.
-	skipDependents := func(di int, d bench.Design) {
-		for ai, arch := range archs {
-			for fi, flow := range flows {
-				if ai == 0 && flow == FlowA {
-					continue
-				}
-				fail(&FlowError{Design: d.Name, Arch: arch.Name, Flow: flow.String(),
-					Stage: "skipped", Err: fmt.Errorf("clock-pinning run failed")})
-				skip(seq(di, ai, fi))
-			}
-		}
-	}
 
-	for di, d := range m.Designs {
+	for di := range m.Designs {
 		wg.Add(1)
-		go func(di int, d bench.Design) {
+		go func(di int) {
 			defer wg.Done()
 			// The first run pins the design's clock period for all four
 			// runs: 1.2× its post-layout arrival, so slacks hover near
 			// zero like the paper's Table 2.
-			first := runOne(d, archs[0], FlowA, 0, seq(di, 0, 0))
+			pin := cell(di, 0, 0, 0)
+			first := runOne(pin, seq(di, 0, 0))
 			if first == nil {
-				if opts.ContinueOnError {
-					skipDependents(di, d)
+				if !opts.ContinueOnError {
+					// The dependents never deposit; the emitter skips
+					// their tickets when it drains.
+					return
 				}
-				// Without ContinueOnError the dependents never deposit;
-				// the emitter skips their tickets when it drains.
+				// Ledger the three clock-dependent cells, so it accounts
+				// for every cell that did not produce a report.
+				for ai := range archs {
+					for fi := range flows {
+						if ai == 0 && fi == 0 {
+							continue
+						}
+						c := cell(di, ai, fi, 0)
+						fail(seq(di, ai, fi), &FlowError{Design: c.Design.Name, Arch: c.Arch.Name,
+							Flow: c.Flow.String(), Stage: "skipped", Err: errors.New("clock-pinning run failed")})
+					}
+				}
 				return
 			}
 			clock := 1.2 * first.MaxArrival
 			first.Reclock(clock)
-			store(d, archs[0], FlowA, first, seq(di, 0, 0))
+			store(pin, first, seq(di, 0, 0))
 
 			// Fan out the PLBs; each runs its clock-dependent flows in
 			// order, so every flow after a PLB's first restores the
 			// shared prefix instead of racing it to the anneal.
 			var iwg sync.WaitGroup
-			for ai, arch := range archs {
+			for ai := range archs {
 				iwg.Add(1)
-				go func(ai int, arch *cells.PLBArch) {
+				go func(ai int) {
 					defer iwg.Done()
 					var uses []StageUse // the PLB's chain links
 					if ai == 0 {
 						uses = first.StageCache
 					}
-					for fi, flow := range flows {
-						if ai == 0 && flow == FlowA {
+					for fi := range flows {
+						if ai == 0 && fi == 0 {
 							continue
 						}
-						ticket := seq(di, ai, fi)
-						if rep := runOne(d, arch, flow, clock, ticket); rep != nil {
+						c := cell(di, ai, fi, clock)
+						if rep := runOne(c, seq(di, ai, fi)); rep != nil {
 							uses = rep.StageCache
-							store(d, arch, flow, rep, ticket)
+							store(c, rep, seq(di, ai, fi))
 						}
 					}
 					// No other cell restores this (design, PLB)'s prefix.
-					stages.drop(uses)
-				}(ai, arch)
+					opts.Stages.drop(uses)
+				}(ai)
 			}
 			iwg.Wait()
-		}(di, d)
+		}(di)
 	}
 	wg.Wait()
 	if emitter != nil {
 		emitter.close()
 	}
 	sortLedger(m.Errors)
-	if firstErr != nil && !opts.ContinueOnError {
-		return m, firstErr
+	if failErr != nil && !opts.ContinueOnError {
+		return m, failErr
 	}
 	return m, nil
 }
@@ -672,41 +720,73 @@ func fanOut(n, workers int, fn func(i int) error) error {
 }
 
 // RunGranularitySweep runs one design across a family of PLB
-// architectures of increasing granularity (experiment E8). The first
-// architecture pins the clock period; the remaining points then run
-// concurrently (bounded by opts.Parallel) with deterministic results
-// and errors.
+// architectures of increasing granularity (experiment E8) in process:
+// the sweep orchestration of RunGranularitySweepWith, with each point
+// run by RunConfig on its own opts.Trace row against opts.Stages and
+// one shared router-state pool. The family is given resolved, so its
+// cells have no request form (see Cell.Request).
 func RunGranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLBArch, opts SweepOptions) ([]SweepPoint, error) {
+	pool := route.NewPool()
+	return granularitySweep(ctx, d, archs, nil, opts, func(ctx context.Context, c Cell) (*Report, error) {
+		run := opts.Trace.NewRun(c.Label)
+		defer run.Close()
+		rep, _, err := RunConfig(ctx, c.Design, Config{Arch: c.Arch, Flow: c.Flow, ClockPeriod: c.Clock,
+			Seed: opts.Seed, PlaceWorkers: opts.PlaceWorkers, Trace: run,
+			Stages: opts.Stages, routePool: pool})
+		return rep, err
+	})
+}
+
+// RunGranularitySweepWith runs the granularity sweep over a
+// declarative architecture family with each point executed by run.
+// The first architecture pins the clock period (its run derives one);
+// the remaining points then run concurrently, bounded by
+// opts.Parallel, with the same points and the same error at any width
+// and for any run. Of opts, only Parallel steers the orchestration.
+func RunGranularitySweepWith(ctx context.Context, d bench.Design, specs []ArchSpec, opts SweepOptions, run CellRunner) ([]SweepPoint, error) {
+	archs := make([]*cells.PLBArch, len(specs))
+	for i, spec := range specs {
+		arch, err := spec.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		archs[i] = arch
+	}
+	return granularitySweep(ctx, d, archs, specs, opts, run)
+}
+
+// granularitySweep is the sweep orchestration behind both entry
+// points; specs, when set, are archs' request specs.
+func granularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLBArch, specs []ArchSpec, opts SweepOptions, run CellRunner) ([]SweepPoint, error) {
 	if len(archs) == 0 {
 		return nil, nil
 	}
-	pool := route.NewPool()
-	point := func(arch *cells.PLBArch, clock float64) (SweepPoint, float64, error) {
-		run := opts.Trace.NewRun("sweep/" + d.Name + "/" + arch.Name)
-		rep, _, err := execFlow(ctx, d, Config{Arch: arch, Flow: FlowB, ClockPeriod: clock,
-			Seed: opts.Seed, PlaceWorkers: opts.PlaceWorkers, Trace: run,
-			Stages: opts.Stages, routePool: pool})
-		run.Close()
-		if err != nil {
-			return SweepPoint{}, 0, fmt.Errorf("sweep %s: %w", arch.Name, err)
+	out := make([]SweepPoint, len(archs))
+	// point runs archs[i] at clock and writes its sample to out[i];
+	// points write disjoint entries.
+	point := func(i int, clock float64) (*Report, error) {
+		arch := archs[i]
+		c := Cell{Design: d, Arch: arch, Flow: FlowB, Clock: clock, Label: "sweep/" + d.Name + "/" + arch.Name}
+		if specs != nil {
+			c.spec = specs[i]
 		}
-		return SweepPoint{
+		rep, err := run(ctx, c)
+		if err != nil {
+			return nil, fmt.Errorf("sweep %s: %w", arch.Name, err)
+		}
+		out[i] = SweepPoint{
 			Arch: arch.Name, Slots: arch.SlotSummary(), PLBArea: arch.Area,
 			DieArea: rep.DieArea, AvgTopSlack: rep.AvgTopSlack,
 			UsedPLBs: rep.Rows * rep.Cols,
-		}, rep.ClockPeriod, nil
+		}
+		return rep, nil
 	}
-
-	out := make([]SweepPoint, len(archs))
-	first, clock, err := point(archs[0], 0)
+	first, err := point(0, 0)
 	if err != nil {
 		return nil, err
 	}
-	out[0] = first
-	// Points write disjoint entries of out; archs[0] already ran.
 	err = fanOut(len(archs)-1, opts.workers(), func(k int) error {
-		pt, _, err := point(archs[k+1], clock)
-		out[k+1] = pt
+		_, err := point(k+1, first.ClockPeriod)
 		return err
 	})
 	if err != nil {

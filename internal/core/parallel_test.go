@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -65,7 +66,9 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 }
 
 // TestRunMatrixParallelError: a failing run must surface its error and
-// not deadlock the pool.
+// not deadlock the pool. The error returned is the earliest failing
+// cell's in canonical order, at any Parallel: ALU's granular flow b,
+// although the broken design's pin fails first in time.
 func TestRunMatrixParallelError(t *testing.T) {
 	suite := bench.Suite{
 		ALU:      bench.ALU(4),
@@ -73,8 +76,19 @@ func TestRunMatrixParallelError(t *testing.T) {
 		FPU:      bench.FPU(4),
 		Switch:   bench.Switch(2, 4, 2),
 	}
-	if _, err := RunMatrix(context.Background(), suite, MatrixOptions{Seed: 1, PlaceEffort: 1, Parallel: 4}); err == nil {
-		t.Fatal("expected an error from the broken design")
+	testPanicHook = func(design, arch string, flow FlowKind) {
+		if design == suite.ALU.Name && arch == "granular-plb" && flow == FlowB {
+			panic("injected worker crash")
+		}
+	}
+	defer func() { testPanicHook = nil }()
+	for _, par := range []int{1, 4} {
+		_, err := RunMatrix(context.Background(), suite, MatrixOptions{Seed: 1, PlaceEffort: 1, Parallel: par})
+		var fe *FlowError
+		if !errors.As(err, &fe) || fe.Design != suite.ALU.Name || fe.Arch != "granular-plb" ||
+			fe.Flow != "flow b" || fe.Stage != "panic" {
+			t.Fatalf("parallel=%d: error %v, want the ALU/granular-plb/flow b panic", par, err)
+		}
 	}
 }
 

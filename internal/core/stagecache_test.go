@@ -384,7 +384,7 @@ func TestMatrixSharesPrefixPerPLB(t *testing.T) {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
 		for _, d := range m.Designs {
-			for _, arch := range MatrixArchNames() {
+			for arch := range m.Reports[d.Name] {
 				hits := map[string]int{}
 				for _, flow := range []FlowKind{FlowA, FlowB} {
 					for _, u := range m.Get(d.Name, arch, flow).StageCache {

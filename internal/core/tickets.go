@@ -1,201 +1,26 @@
 package core
 
-import "fmt"
+// suiteDesigns are the FlowRequest design names of a matrix suite's
+// designs, index-aligned with bench.Suite.All.
+var suiteDesigns = []string{"alu", "firewire", "fpu", "switch"}
 
-// Ticket-level request encoding: the matrix and the granularity sweep
-// are composites of independent flow runs, and every one of those runs
-// is expressible as a canonical FlowRequest — the same unit POST
-// /v1/runs accepts and the content-addressed cache keys. A coordinator
-// can therefore ship cells ("tickets") to worker nodes instead of
-// whole matrices, steal queued tickets from a dead node, and still
-// merge a final result byte-identical to a single-node run, because
-// each ticket is a pure function of its request.
-//
-// The only cross-cell dependency is clock pinning: one cell per
-// composite runs first with ClockPeriod 0 and its report derives the
-// clock every dependent cell is pinned to. The plans below encode
-// exactly the enumeration order and clock rules RunMatrix and
-// RunGranularitySweep use, so a ticketed execution and a monolithic
-// one produce the same reports cell for cell.
-
-// MatrixDesignNames are the canonical FlowRequest design names of the
-// Table 1/2 suite, in the paper's Table 1 order — index-aligned with
-// bench.Suite.All() at either scale.
-func MatrixDesignNames() []string {
-	return []string{"alu", "firewire", "fpu", "switch"}
-}
-
-// MatrixArchKinds are the matrix's architecture columns as ArchSpec
-// kinds, in RunMatrix's canonical order; MatrixArchNames are the
-// resolved cells.PLBArch names keying Matrix.Reports, index-aligned.
-func MatrixArchKinds() []string { return []string{"granular", "lut"} }
-
-// MatrixArchNames resolves MatrixArchKinds to the Report/Matrix arch
-// names ("granular-plb", "lut-plb").
-func MatrixArchNames() []string {
-	kinds := MatrixArchKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		arch, err := ArchSpec{Kind: k}.Resolve()
-		if err != nil {
-			panic(fmt.Sprintf("core: named arch %q: %v", k, err)) // unreachable: named kinds always resolve
-		}
-		names[i] = arch.Name
+// Request is the cell's canonical FlowRequest. base supplies what
+// every cell of the composite shares — the scale and result-bearing
+// knobs, and a sweep's design block — and the cell sets its own
+// design (matrix cells), architecture, flow and clock. Cells of the
+// in-process RunGranularitySweep, whose family comes resolved, carry
+// no architecture spec and so have no request form.
+func (c Cell) Request(base FlowRequest) FlowRequest {
+	if c.design != "" {
+		base.Design = c.design
 	}
-	return names
-}
-
-// MatrixFlows are the matrix's flow columns in canonical order.
-func MatrixFlows() []string { return []string{"a", "b"} }
-
-// TicketLabel renders the request's display label — the same
-// design/arch/flow shape the daemon uses for job labels — for
-// ticket-level scheduling and tracing.
-func (r FlowRequest) TicketLabel() string {
-	n := r.Normalize()
-	return n.Design + n.Name + "/" + n.Arch.Kind + "/flow " + n.Flow
-}
-
-// MatrixPlan is the ticket view of one matrix job: the
-// result-bearing knobs of a matrix request, from which every cell's
-// canonical FlowRequest can be enumerated.
-type MatrixPlan struct {
-	Scale       string
-	Seed        int64
-	PlaceEffort int
-	// Defect knobs mirror MatrixOptions: a rate of zero means a clean
-	// fabric and zeroes the other two.
-	DefectRate   float64
-	DefectSeed   int64
-	RepairBudget int
-}
-
-// cell assembles one cell's canonical FlowRequest.
-func (p MatrixPlan) cell(design, archKind, flow string, clock float64) FlowRequest {
-	req := FlowRequest{
-		Design: design, Scale: p.Scale,
-		Arch: ArchSpec{Kind: archKind}, Flow: flow,
-		Seed: p.Seed, ClockPeriod: clock, PlaceEffort: p.PlaceEffort,
-		DefectRate: p.DefectRate, DefectSeed: p.DefectSeed, RepairBudget: p.RepairBudget,
+	base.Arch = c.spec
+	base.Flow = "b"
+	if c.Flow == FlowA {
+		base.Flow = "a"
 	}
-	return req.Normalize()
-}
-
-// PinTicket is the design's clock-pinning cell: the granular / flow a
-// run at ClockPeriod 0, exactly the run RunMatrix executes first.
-func (p MatrixPlan) PinTicket(design string) FlowRequest {
-	return p.cell(design, MatrixArchKinds()[0], MatrixFlows()[0], 0)
-}
-
-// PinnedClock derives the design's shared clock period from its
-// clock-pinning cell's report: 1.2x the post-layout arrival, the same
-// rule RunMatrix applies before Reclock.
-func (p MatrixPlan) PinnedClock(pin *Report) float64 {
-	return 1.2 * pin.MaxArrival
-}
-
-// MatrixCell is one dependent cell: its request plus the (arch, flow)
-// coordinates it occupies in Matrix.Reports.
-type MatrixCell struct {
-	ArchName string // Matrix.Reports arch key ("granular-plb", "lut-plb")
-	Flow     string // Matrix.Reports flow key ("flow a", "flow b")
-	Req      FlowRequest
-}
-
-// MatrixCellLabel renders a cell's ticket label — the display name a
-// coordinator stamps on the cell's scheduling span in a merged
-// cluster trace ("alu/lut-plb/flow b").
-func MatrixCellLabel(design, archName, flow string) string {
-	return design + "/" + archName + "/" + flow
-}
-
-// Label is the cell's ticket label under the given design name.
-func (c MatrixCell) Label(design string) string {
-	return MatrixCellLabel(design, c.ArchName, c.Flow)
-}
-
-// PinLabel is the ticket label of the design's clock-pinning cell.
-func (p MatrixPlan) PinLabel(design string) string {
-	return MatrixCellLabel(design, MatrixArchNames()[0], "flow a") + " (pin)"
-}
-
-// DependentTickets enumerates the design's three clock-dependent cells
-// — every (arch, flow) except the pin — pinned to clock, in RunMatrix's
-// canonical (arch, flow) order.
-func (p MatrixPlan) DependentTickets(design string, clock float64) []MatrixCell {
-	kinds, names, flows := MatrixArchKinds(), MatrixArchNames(), MatrixFlows()
-	var out []MatrixCell
-	for ai, kind := range kinds {
-		for fi, flow := range flows {
-			if ai == 0 && fi == 0 {
-				continue // the pin cell
-			}
-			out = append(out, MatrixCell{
-				ArchName: names[ai],
-				Flow:     "flow " + flow,
-				Req:      p.cell(design, kind, flow, clock),
-			})
-		}
-	}
-	return out
-}
-
-// SweepPlan is the ticket view of one granularity-sweep job: the
-// design block of a sweep request plus its architecture family.
-type SweepPlan struct {
-	Design string
-	Scale  string
-	RTL    string
-	Name   string
-	Seed   int64
-	Archs  []ArchSpec
-}
-
-// Ticket is the sweep's i-th cell: the design run under Archs[i] on
-// flow b, at ClockPeriod 0 for the clock-pinning first architecture
-// and at the pinned clock for every later one — the same rule
-// RunGranularitySweep applies (its first point's report carries the
-// derived clock as Report.ClockPeriod).
-func (p SweepPlan) Ticket(i int, clock float64) FlowRequest {
-	if i == 0 {
-		clock = 0
-	}
-	req := FlowRequest{
-		Design: p.Design, Scale: p.Scale, RTL: p.RTL, Name: p.Name,
-		Arch: p.Archs[i], Flow: "b", Seed: p.Seed, ClockPeriod: clock,
-	}
-	return req.Normalize()
-}
-
-// TicketLabel names the sweep's i-th ticket after its design and
-// architecture, for ticket-level scheduling and tracing.
-func (p SweepPlan) TicketLabel(i int) string {
-	design := p.Design
-	if design == "" {
-		design = p.Name
-	}
-	arch := p.Archs[i].Name
-	if arch == "" {
-		arch = p.Archs[i].Kind
-	}
-	if arch == "" {
-		arch = "default"
-	}
-	return "sweep/" + design + "/" + arch
-}
-
-// SweepPointFrom distills one sweep sample from a cell's report, the
-// same projection RunGranularitySweep applies in-process.
-func SweepPointFrom(spec ArchSpec, rep *Report) (SweepPoint, error) {
-	arch, err := spec.Resolve()
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	return SweepPoint{
-		Arch: arch.Name, Slots: arch.SlotSummary(), PLBArea: arch.Area,
-		DieArea: rep.DieArea, AvgTopSlack: rep.AvgTopSlack,
-		UsedPLBs: rep.Rows * rep.Cols,
-	}, nil
+	base.ClockPeriod = c.Clock
+	return base.Normalize()
 }
 
 // DefaultSweepArchSpecs is the E8 architecture family as serializable

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"strings"
 	"testing"
 
 	"vpga/internal/logic"
@@ -238,20 +237,6 @@ func TestFanouts(t *testing.T) {
 	n.AddOutput("y", g2)
 	if got := n.FanoutCount(a); got != 2 {
 		t.Fatalf("fanout(a) = %d, want 2", got)
-	}
-}
-
-func TestDumpAndDOT(t *testing.T) {
-	n := buildXorFF()
-	d := n.Dump()
-	for _, want := range []string{"input", "dff", "XOR2"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("Dump missing %q:\n%s", want, d)
-		}
-	}
-	dot := n.WriteDOT()
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "->") {
-		t.Errorf("DOT output malformed:\n%s", dot)
 	}
 }
 

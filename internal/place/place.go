@@ -538,28 +538,6 @@ func (p *Problem) Refine(windowFrac float64, passes int, seed int64) {
 	}
 }
 
-// LongNets returns the indexes of nets whose HPWL exceeds frac times
-// the die half-perimeter (buffer-insertion candidates).
-func (p *Problem) LongNets(frac float64) []int {
-	limit := frac * (p.W + p.H)
-	var out []int
-	for i := range p.Nets {
-		if p.netHPWL(&p.Nets[i]) > limit {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// TotalObjArea sums movable object area.
-func (p *Problem) TotalObjArea() float64 {
-	total := 0.0
-	for i := range p.Objs {
-		total += p.Objs[i].Area
-	}
-	return total
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -134,6 +134,7 @@ type rawResponse struct {
 	Status string          `json:"status"`
 	Cached bool            `json:"cached"`
 	Error  string          `json:"error"`
+	Stage  string          `json:"stage"`
 	Result json.RawMessage `json:"result"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +19,9 @@ import (
 	"testing"
 	"time"
 
+	"vpga/internal/bench"
+	"vpga/internal/cells"
+	"vpga/internal/core"
 	"vpga/internal/faultinject"
 )
 
@@ -407,6 +411,31 @@ func TestCoordinatorKeepsRemoteFailureClass(t *testing.T) {
 	}
 }
 
+// TestRemoteFlowErrorRevival: a cell's failed-run envelope revives as
+// the worker's *core.FlowError — same text, attempt, stage and error
+// class — and any other message stays a plain remote error.
+func TestRemoteFlowErrorRevival(t *testing.T) {
+	cell := core.Cell{Design: bench.Design{Name: "ALU"}, Arch: cells.LUTPLB(), Flow: core.FlowB}
+	want := &core.FlowError{Design: "ALU", Arch: "lut-plb", Flow: "flow b", Stage: "route", Attempt: 2,
+		Err: fmt.Errorf("negotiation: %w", context.DeadlineExceeded)}
+	got := (&remoteError{msg: want.Error(), stage: "route", kind: "timeout"}).flowError(cell)
+	var fe *core.FlowError
+	if !errors.As(got, &fe) || got.Error() != want.Error() || fe.Attempt != 2 ||
+		errStage(got) != "route" || errKind(got) != "timeout" {
+		t.Fatalf("revived %#v (%v): stage %q kind %q, want %v with stage route, kind timeout",
+			got, got, errStage(got), errKind(got), want)
+	}
+	for _, re := range []*remoteError{
+		{msg: "no live worker nodes"},
+		{msg: want.Error(), stage: "pack"},
+		{msg: "core: FPU/lut-plb/flow b: route (attempt 0): overflow", stage: "route"},
+	} {
+		if got := re.flowError(cell); got != re {
+			t.Fatalf("%q at stage %q revived as %v", re.msg, re.stage, got)
+		}
+	}
+}
+
 // TestCoordinatorMatrixByteIdentical is the tentpole acceptance
 // property: a 3-worker coordinator matrix, split into per-cell tickets
 // and merged, renders byte-identically to a single node's — and both
@@ -524,6 +553,54 @@ func TestCoordinatorSweepPeerHitRatio(t *testing.T) {
 	}
 	if v, ok := metricValue(text, "vpgad_cluster_nodes_up"); !ok || v != 3 {
 		t.Fatalf("vpgad_cluster_nodes_up = %v (present %v), want 3", v, ok)
+	}
+}
+
+// TestCoordinatorMatrixFailureParity: with every pack stage failing,
+// so every flow-b cell fails and every flow-a cell completes, a
+// 2-worker coordinator fails exactly like a single worker — the same
+// partial matrix and ledger under continue_on_error, the same stage
+// and error without it, and the same sweep error.
+func TestCoordinatorMatrixFailureParity(t *testing.T) {
+	t.Cleanup(faultinject.Disable)
+	faultinject.Enable(faultinject.New(1, 1.0, nil, "stage.pack"))
+	_, single := newTestServer(t, Options{Workers: 4})
+	_, cts := newTestCoordinator(t, CoordinatorOptions{Workers: newWorkerFleet(t, 2)})
+	both := func(path, body string) (worker, coord rawResponse) {
+		_, worker = httpJSON(t, "POST", single.URL+path+"?wait=1", body)
+		_, coord = httpJSON(t, "POST", cts.URL+path+"?wait=1", body)
+		return worker, coord
+	}
+
+	worker, coord := both("/v1/matrix", `{"seed":5,"place_effort":1,"continue_on_error":true}`)
+	if worker.Status != "done" || coord.Status != "done" {
+		t.Fatalf("continue_on_error matrix: worker %q (%s), coordinator %q (%s)",
+			worker.Status, worker.Error, coord.Status, coord.Error)
+	}
+	var res MatrixResult
+	if err := json.Unmarshal(worker.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 8 || res.Reports["ALU"]["lut-plb"]["flow a"] == nil {
+		t.Fatalf("worker matrix has %d ledger entries, want the 8 flow-b cells: %v", len(res.Errors), res.Errors)
+	}
+	if !bytes.Equal(worker.Result, coord.Result) {
+		t.Fatalf("partial matrices differ:\nworker      %s\ncoordinator %s", worker.Result, coord.Result)
+	}
+
+	worker, coord = both("/v1/matrix", `{"seed":5,"place_effort":1}`)
+	if worker.Status != "failed" || worker.Stage != "pack" {
+		t.Fatalf("worker matrix finished %q at stage %q (%s), want failed at pack", worker.Status, worker.Stage, worker.Error)
+	}
+	if coord.Status != worker.Status || coord.Stage != worker.Stage || coord.Error != worker.Error {
+		t.Fatalf("matrix failures differ:\nworker      %s %s: %s\ncoordinator %s %s: %s",
+			worker.Status, worker.Stage, worker.Error, coord.Status, coord.Stage, coord.Error)
+	}
+
+	worker, coord = both("/v1/sweeps/granularity", `{"design":"alu","seed":5,"archs":[{"kind":"lut"},{"kind":"granular"}]}`)
+	if worker.Status != "failed" || coord.Status != "failed" || coord.Error != worker.Error {
+		t.Fatalf("sweep failures differ:\nworker      %s: %s\ncoordinator %s: %s",
+			worker.Status, worker.Error, coord.Status, coord.Error)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"vpga/internal/bench"
 	"vpga/internal/core"
 	"vpga/internal/obs"
 )
@@ -21,10 +21,11 @@ import (
 // Coordinator is vpgad's cluster mode: the same public API as a worker
 // Server, served by scattering work over N worker nodes instead of a
 // local pool. Single runs ship whole to the ring owner of their cache
-// key; matrices and granularity sweeps split into per-cell tickets —
-// each cell is a pure function of its canonical FlowRequest (see
-// core.MatrixPlan / core.SweepPlan), so the merged result is
-// byte-identical to a single node's. Tickets queue per home node with
+// key; matrices and granularity sweeps run the single node's
+// orchestration (core.RunMatrixWith, core.RunGranularitySweepWith)
+// with each cell shipped as a ticket — a cell is a pure function of
+// its canonical FlowRequest (core.Cell.Request), so the merged result
+// is byte-identical to a single node's. Tickets queue per home node with
 // work stealing; a dead node's queued and in-flight tickets re-shard
 // onto the survivors. POST /v1/batch adds job priorities and
 // per-tenant fairness so a bulk sweep cannot starve interactive runs.
@@ -747,130 +748,59 @@ func (c *Coordinator) composite(j *job, run func() (any, error)) (any, bool, err
 	return v, false, err
 }
 
-// cellFailure is one failed or skipped matrix cell, carried as the
-// exact error string a single-node RunMatrix ledger would render.
-type cellFailure struct {
-	design, arch, flow string
-	err                error
-}
+// lanes is the fleet's ticket capacity — the bound a composite job's
+// orchestration keeps its in-flight cells under.
+func (c *Coordinator) lanes() int { return len(c.order) * nodeLanes }
 
-// runMatrix executes a matrix as 16 tickets — per design, the
-// clock-pinning cell first, then its three dependents pinned to the
-// derived clock — and merges the cells into the same MatrixResult a
-// single node computes: identical report maps (pre-built like
-// RunMatrix, reclocked pins, stripped metrics), the error ledger
-// sorted by (design, arch, flow), and the rendered tables/claims when
-// the matrix is complete.
+// runMatrix runs the matrix through core.RunMatrixWith — the single
+// node's orchestration: the same cell order, clock pins and error
+// ledger — with every cell shipped as a ticket, and caches the merged
+// result when it is complete.
 func (c *Coordinator) runMatrix(j *job, req MatrixRequest) (any, error) {
 	n := req.normalize()
-	suite := req.suite()
-	designs := suite.All()
-	designReqs := core.MatrixDesignNames()
-	archNames := core.MatrixArchNames()
-	plan := core.MatrixPlan{
+	base := core.FlowRequest{
 		Scale: n.Scale, Seed: n.Seed, PlaceEffort: n.PlaceEffort,
 		DefectRate: n.DefectRate, DefectSeed: n.DefectSeed, RepairBudget: n.RepairBudget,
 	}
-
-	reports := make(map[string]map[string]map[string]*core.Report, len(designs))
-	for _, d := range designs {
-		reports[d.Name] = map[string]map[string]*core.Report{}
-		for _, arch := range archNames {
-			reports[d.Name][arch] = map[string]*core.Report{}
-		}
+	m, err := core.RunMatrixWith(c.baseCtx, req.suite(), core.MatrixOptions{
+		Parallel: c.lanes(), ContinueOnError: n.ContinueOnError,
+	}, c.cellRunner(j, base))
+	if err != nil {
+		return nil, err
 	}
-
-	var (
-		mu       sync.Mutex
-		failures []cellFailure
-		wg       sync.WaitGroup
-	)
-	fail := func(design, arch, flow string, err error) {
-		mu.Lock()
-		failures = append(failures, cellFailure{design, arch, flow, err})
-		mu.Unlock()
-	}
-	// cellReport resolves one ticket into a stripped report.
-	cellReport := func(name string, req core.FlowRequest) (*core.Report, error) {
-		rep, err := c.ticketReport(j, name, req)
-		if err == nil {
-			rep.StripMetrics()
-		}
-		return rep, err
-	}
-
-	for di := range designs {
-		wg.Add(1)
-		go func(di int) {
-			defer wg.Done()
-			d := designs[di]
-			pinReq := plan.PinTicket(designReqs[di])
-			pin, err := cellReport(plan.PinLabel(d.Name), pinReq)
-			if err != nil {
-				fail(d.Name, archNames[0], "flow a", err)
-				// The three dependents never run: ledger them exactly like
-				// RunMatrix's skipDependents.
-				for _, cell := range plan.DependentTickets(designReqs[di], 0) {
-					fail(d.Name, cell.ArchName, cell.Flow,
-						&core.FlowError{Design: d.Name, Arch: cell.ArchName, Flow: cell.Flow,
-							Stage: "skipped", Err: errors.New("clock-pinning run failed")})
-				}
-				return
-			}
-			clock := plan.PinnedClock(pin)
-			pin.Reclock(clock)
-			mu.Lock()
-			reports[d.Name][archNames[0]]["flow a"] = pin
-			mu.Unlock()
-
-			var iwg sync.WaitGroup
-			for _, cell := range plan.DependentTickets(designReqs[di], clock) {
-				iwg.Add(1)
-				go func(cell core.MatrixCell) {
-					defer iwg.Done()
-					rep, err := cellReport(cell.Label(d.Name), cell.Req)
-					if err != nil {
-						fail(d.Name, cell.ArchName, cell.Flow, err)
-						return
-					}
-					mu.Lock()
-					reports[d.Name][cell.ArchName][cell.Flow] = rep
-					mu.Unlock()
-				}(cell)
-			}
-			iwg.Wait()
-		}(di)
-	}
-	wg.Wait()
-
-	endMerge := j.trace.span("merge", map[string]any{"cells": len(designs) * 4})
+	endMerge := j.trace.span("merge", map[string]any{"cells": len(m.Designs) * 4})
 	defer endMerge()
-	sort.Slice(failures, func(i, k int) bool {
-		a, b := failures[i], failures[k]
-		if a.design != b.design {
-			return a.design < b.design
-		}
-		if a.arch != b.arch {
-			return a.arch < b.arch
-		}
-		return a.flow < b.flow
-	})
-	if len(failures) > 0 && !n.ContinueOnError {
-		return nil, failures[0].err
-	}
-	res := MatrixResult{Reports: reports}
-	for _, f := range failures {
-		res.Errors = append(res.Errors, f.err.Error())
-	}
-	if len(failures) == 0 {
-		m := &core.Matrix{Designs: designs, Reports: reports}
-		res.Table1 = m.Table1()
-		res.Table2 = m.Table2()
-		claims := m.DeriveClaims()
-		res.Claims = &claims
+	res := matrixResult(m)
+	if len(res.Errors) == 0 {
 		c.cache.put(j.key, res)
 	}
 	return res, nil
+}
+
+// runSweep runs a granularity sweep through
+// core.RunGranularitySweepWith with every point shipped as a ticket.
+func (c *Coordinator) runSweep(j *job, d bench.Design, specs []core.ArchSpec, base core.FlowRequest) (any, error) {
+	pts, err := core.RunGranularitySweepWith(c.baseCtx, d, specs, core.SweepOptions{Parallel: c.lanes()}, c.cellRunner(j, base))
+	if err != nil {
+		return nil, err
+	}
+	c.cache.put(j.key, pts)
+	return pts, nil
+}
+
+// cellRunner is the coordinator's core.CellRunner: each cell ships as
+// the flow-run ticket cell.Request(base), and a worker-side failure
+// comes back as the *core.FlowError the worker raised, so ledgers and
+// job errors read as they do on a single node.
+func (c *Coordinator) cellRunner(j *job, base core.FlowRequest) core.CellRunner {
+	return func(_ context.Context, cell core.Cell) (*core.Report, error) {
+		rep, err := c.ticketReport(j, cell.Label, cell.Request(base))
+		var re *remoteError
+		if errors.As(err, &re) {
+			return nil, re.flowError(cell)
+		}
+		return rep, err
+	}
 }
 
 // ticketReport runs one flow-run ticket and decodes its report; a
@@ -892,52 +822,6 @@ func (c *Coordinator) ticketReport(j *job, name string, req core.FlowRequest) (*
 		return nil, fmt.Errorf("decoding cell report: %w", err)
 	}
 	return rep, nil
-}
-
-// runSweep executes a granularity sweep as tickets: the first
-// architecture pins the clock (its report's ClockPeriod), the rest run
-// pinned in parallel, and the merged points match RunGranularitySweep
-// point for point.
-func (c *Coordinator) runSweep(j *job, plan core.SweepPlan) (any, error) {
-	first, err := c.ticketReport(j, plan.TicketLabel(0), plan.Ticket(0, 0))
-	if err != nil {
-		return nil, err
-	}
-	clock := first.ClockPeriod
-	pts := make([]core.SweepPoint, len(plan.Archs))
-	if pts[0], err = core.SweepPointFrom(plan.Archs[0], first); err != nil {
-		return nil, err
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 1; i < len(plan.Archs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rep, err := c.ticketReport(j, plan.TicketLabel(i), plan.Ticket(i, clock))
-			if err == nil {
-				var pt core.SweepPoint
-				if pt, err = core.SweepPointFrom(plan.Archs[i], rep); err == nil {
-					pts[i] = pt
-					return
-				}
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	c.cache.put(j.key, pts)
-	return pts, nil
 }
 
 // ---------------------------------------------------------------------------

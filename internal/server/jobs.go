@@ -8,6 +8,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,6 +131,24 @@ type jobResponse struct {
 type remoteError struct{ msg, stage, kind string }
 
 func (e *remoteError) Error() string { return e.msg }
+
+// flowError revives a worker's failed-run envelope as the
+// *core.FlowError the worker raised for the cell, so a composite's
+// ledger renders it byte for byte. That error reads "core:
+// design/arch/flow: stage (attempt N): cause", and the cell and the
+// envelope name everything but N and the cause, which keeps the
+// envelope's error class. A message of any other shape stays as it is.
+func (e *remoteError) flowError(cell core.Cell) error {
+	fe := &core.FlowError{Design: cell.Design.Name, Arch: cell.Arch.Name, Flow: cell.Flow.String(), Stage: e.stage}
+	rest, ok := strings.CutPrefix(e.msg, fmt.Sprintf("core: %s/%s/%s: %s (attempt ", fe.Design, fe.Arch, fe.Flow, fe.Stage))
+	attempt, cause, found := strings.Cut(rest, "): ")
+	n, err := strconv.Atoi(attempt)
+	if e.stage == "" || !ok || !found || err != nil {
+		return e
+	}
+	fe.Attempt, fe.Err = n, &remoteError{msg: cause, stage: e.stage, kind: e.kind}
+	return fe
+}
 
 // envelopeError is the failure a worker envelope reports (nil when the
 // job did not fail).

@@ -85,6 +85,25 @@ type MatrixResult struct {
 	Claims  *core.Claims                                  `json:"claims,omitempty"`
 }
 
+// matrixResult renders a finished matrix as the job payload, on either
+// role. Wall-clock metrics are stripped so the payload depends only on
+// the request: the fresh response and every later cache hit serve
+// byte-identical matrices.
+func matrixResult(m *core.Matrix) MatrixResult {
+	m.StripMetrics()
+	res := MatrixResult{Reports: m.Reports}
+	for _, fe := range m.Errors {
+		res.Errors = append(res.Errors, fe.Error())
+	}
+	if len(m.Errors) == 0 {
+		res.Table1 = m.Table1()
+		res.Table2 = m.Table2()
+		claims := m.DeriveClaims()
+		res.Claims = &claims
+	}
+	return res
+}
+
 // SweepRequest is the serializable description of an exploration
 // sweep (POST /v1/sweeps/granularity, POST /v1/sweeps/routing). The
 // design block mirrors core.FlowRequest: a named benchmark at a scale,
@@ -240,8 +259,9 @@ type submission struct {
 	local     func(ctx context.Context, s *Server, tr *obs.Tracer) (any, error)
 	cachePrep func(any) any
 	ledger    func(any) []qor.Record
-	// remote executes the job on a coordinator by fanning tickets out
-	// over the fleet; cached reports that the result came from a cache.
+	// remote executes the job on a coordinator by shipping it, or each
+	// of its cells, as tickets to the fleet; cached reports that the
+	// result came from a cache.
 	remote func(c *Coordinator, j *job) (result any, cached bool, err error)
 }
 
@@ -282,13 +302,13 @@ func prepareRun(req core.FlowRequest) (*submission, error) {
 		return []qor.Record{qor.FromReport(rep, n.Seed, key)}
 	}
 	sub.remote = func(c *Coordinator, j *job) (any, bool, error) {
-		return c.forward(j, req.TicketLabel())
+		return c.forward(j, sub.label)
 	}
 	return sub, nil
 }
 
-// prepareMatrix validates a matrix request. A coordinator splits the
-// matrix into per-cell tickets.
+// prepareMatrix validates a matrix request. A coordinator runs the
+// same matrix orchestration with every cell shipped as a ticket.
 func prepareMatrix(req MatrixRequest) (*submission, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -312,21 +332,7 @@ func prepareMatrix(req MatrixRequest) (*submission, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Strip wall-clock metrics so the payload depends only on the
-		// request: the fresh response and every later cache hit serve
-		// byte-identical matrices.
-		m.StripMetrics()
-		res := MatrixResult{Reports: m.Reports}
-		for _, fe := range m.Errors {
-			res.Errors = append(res.Errors, fe.Error())
-		}
-		if len(m.Errors) == 0 {
-			res.Table1 = m.Table1()
-			res.Table2 = m.Table2()
-			claims := m.DeriveClaims()
-			res.Claims = &claims
-		}
-		return res, nil
+		return matrixResult(m), nil
 	}
 	// Matrix cells are not request-shaped (RunMatrix pins clocks across
 	// flows), so their ledger records carry no cache key.
@@ -355,8 +361,8 @@ func prepareMatrix(req MatrixRequest) (*submission, error) {
 }
 
 // prepareGranularitySweep validates a granularity-sweep request —
-// design and every architecture of the family. A coordinator splits
-// the sweep into per-architecture tickets.
+// design and every architecture of the family. A coordinator runs the
+// same sweep orchestration with every point shipped as a ticket.
 func prepareGranularitySweep(req SweepRequest) (*submission, error) {
 	d, err := req.resolveDesign()
 	if err != nil {
@@ -383,12 +389,9 @@ func prepareGranularitySweep(req SweepRequest) (*submission, error) {
 			Seed: req.Seed, Parallel: req.Parallel, Trace: tr, Stages: s.stages,
 		})
 	}
-	plan := core.SweepPlan{
-		Design: n.Design, Scale: n.Scale, RTL: n.RTL, Name: n.Name,
-		Seed: n.Seed, Archs: specs,
-	}
+	base := core.FlowRequest{Design: n.Design, Scale: n.Scale, RTL: n.RTL, Name: n.Name, Seed: n.Seed}
 	sub.remote = func(c *Coordinator, j *job) (any, bool, error) {
-		return c.composite(j, func() (any, error) { return c.runSweep(j, plan) })
+		return c.composite(j, func() (any, error) { return c.runSweep(j, d, specs, base) })
 	}
 	return sub, nil
 }
