@@ -470,39 +470,69 @@ func (m *Matrix) StageTotals() []obs.StageTiming {
 }
 
 // Table1 renders the die-area comparison in the layout of the paper's
-// Table 1.
+// Table 1. Cells whose route left overflow are marked (see
+// overflowNote).
 func (m *Matrix) Table1() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table 1: Area comparison (die area, NAND2-equivalent units)\n")
 	fmt.Fprintf(&sb, "%-16s %12s %12s %12s %12s\n", "", "Granular PLB", "", "LUT PLB", "")
 	fmt.Fprintf(&sb, "%-16s %12s %12s %12s %12s\n", "Design", "flow a", "flow b", "flow a", "flow b")
+	die := func(r *Report) string { return markOverflow(r, fmt.Sprintf("%.0f", r.DieArea)) }
 	for _, d := range m.Designs {
 		g := m.Reports[d.Name]["granular-plb"]
 		l := m.Reports[d.Name]["lut-plb"]
-		fmt.Fprintf(&sb, "%-16s %12.0f %12.0f %12.0f %12.0f\n", d.Name,
-			g["flow a"].DieArea, g["flow b"].DieArea,
-			l["flow a"].DieArea, l["flow b"].DieArea)
+		fmt.Fprintf(&sb, "%-16s %12s %12s %12s %12s\n", d.Name,
+			die(g["flow a"]), die(g["flow b"]),
+			die(l["flow a"]), die(l["flow b"]))
 	}
+	sb.WriteString(m.overflowNote())
 	return sb.String()
 }
 
 // Table2 renders the timing comparison in the layout of the paper's
-// Table 2 (average slack over the top-10 critical paths, ps).
+// Table 2 (average slack over the top-10 critical paths, ps). Slack
+// cells whose route left overflow are marked (see overflowNote).
 func (m *Matrix) Table2() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table 2: Timing comparison (avg slack over paths 1-10, ps)\n")
 	fmt.Fprintf(&sb, "%-16s %10s %12s %12s %12s %12s %10s\n",
 		"Design", "gates", "gran flow a", "gran flow b", "lut flow a", "lut flow b", "clock")
+	slack := func(r *Report) string { return markOverflow(r, fmt.Sprintf("%.1f", r.AvgTopSlack)) }
 	for _, d := range m.Designs {
 		g := m.Reports[d.Name]["granular-plb"]
 		l := m.Reports[d.Name]["lut-plb"]
-		fmt.Fprintf(&sb, "%-16s %10.0f %12.1f %12.1f %12.1f %12.1f %10.0f\n", d.Name,
+		fmt.Fprintf(&sb, "%-16s %10.0f %12s %12s %12s %12s %10.0f\n", d.Name,
 			l["flow b"].GateCount,
-			g["flow a"].AvgTopSlack, g["flow b"].AvgTopSlack,
-			l["flow a"].AvgTopSlack, l["flow b"].AvgTopSlack,
+			slack(g["flow a"]), slack(g["flow b"]),
+			slack(l["flow a"]), slack(l["flow b"]),
 			g["flow b"].ClockPeriod)
 	}
+	sb.WriteString(m.overflowNote())
 	return sb.String()
+}
+
+// markOverflow appends "*" to a table cell whose report's route left
+// capacity overflow.
+func markOverflow(r *Report, cell string) string {
+	if r.Overflow > 0 {
+		return cell + "*"
+	}
+	return cell
+}
+
+// overflowNote is the footnote under Tables 1 and 2 when some cell is
+// marked, and empty otherwise, so tables of legal routes are unchanged.
+func (m *Matrix) overflowNote() string {
+	for _, byArch := range m.Reports {
+		for _, byFlow := range byArch {
+			for _, rep := range byFlow {
+				if rep != nil && rep.Overflow > 0 {
+					return "* routed with capacity overflow left: an illegal routing\n"
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // Claims holds the derived Section 3.2 statistics.

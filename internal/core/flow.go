@@ -958,13 +958,17 @@ func identityConfigs(nl *netlist.Netlist, arch *cells.PLBArch) (*netlist.Netlist
 	return out, nil
 }
 
-// summary renders a one-line report.
+// summary renders a one-line report; a route that left capacity
+// overflow says so.
 func (r *Report) summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s %-13s %-7s die=%9.0f slack=%8.1f gates=%8.0f",
 		r.Design, r.Arch, r.Flow, r.DieArea, r.AvgTopSlack, r.GateCount)
 	if r.Rows > 0 {
 		fmt.Fprintf(&sb, " array=%dx%d util=%.0f%%", r.Rows, r.Cols, 100*r.Utilization)
+	}
+	if r.Overflow > 0 {
+		fmt.Fprintf(&sb, " overflow=%d", r.Overflow)
 	}
 	return sb.String()
 }

@@ -68,10 +68,37 @@ type packer struct {
 	rows   int
 	cols   int
 
+	// objRoles[i] is objCfg[i]'s roles as roleOrder indices.
+	objRoles [][]uint8
+
 	// Slot types for aggFeasible's max-flow, by component name in
-	// sorted order: the roles each type serves and its slots per PLB.
-	slotServes [][]cells.Role
-	slotCount  []int
+	// sorted order: the slot types serving each role, and each type's
+	// slots per PLB.
+	roleSlots [maxRoles][]int
+	slotCount []int
+}
+
+// roleOrder indexes every role a configuration may demand; a roleCount
+// counts demand per role in this order.
+var roleOrder = [...]cells.Role{
+	cells.RoleMux, cells.RoleXoa, cells.RoleNand, cells.RoleNd2,
+	cells.RoleSimple2, cells.RoleLUT, cells.RoleDFF, cells.RoleBuf,
+}
+
+const maxRoles = len(roleOrder)
+
+// roleCount tallies role demand, indexed like roleOrder. It is a value
+// array, so demand probes allocate nothing.
+type roleCount [maxRoles]int
+
+// roleIndex returns r's index in roleOrder, or -1 for an unknown role.
+func roleIndex(r cells.Role) int {
+	for i, x := range roleOrder {
+		if x == r {
+			return i
+		}
+	}
+	return -1
 }
 
 // Run packs the compacted netlist's placement into the smallest PLB
@@ -110,6 +137,8 @@ func Run(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, opts Opt
 // demand.
 func (p *packer) resolveConfigs() error {
 	p.objCfg = make([]*cells.Config, len(p.prob.Objs))
+	p.objRoles = make([][]uint8, len(p.prob.Objs))
+	byCfg := map[*cells.Config][]uint8{}
 	for i := range p.prob.Objs {
 		o := &p.prob.Objs[i]
 		if o.IsPad {
@@ -131,6 +160,22 @@ func (p *packer) resolveConfigs() error {
 			}
 			p.objCfg[i] = cfg
 		}
+		cfg := p.objCfg[i]
+		if cfg == nil {
+			continue
+		}
+		roles, seen := byCfg[cfg]
+		if !seen {
+			for _, r := range cfg.Roles {
+				ri := roleIndex(r)
+				if ri < 0 {
+					return fmt.Errorf("pack: configuration %s demands unknown role %q", cfg.Name, r)
+				}
+				roles = append(roles, uint8(ri))
+			}
+			byCfg[cfg] = roles
+		}
+		p.objRoles[i] = roles
 	}
 	return nil
 }
@@ -140,7 +185,7 @@ func (p *packer) resolveConfigs() error {
 func (p *packer) lowerBoundPLBs() int {
 	demand := p.roleDemand(nil)
 	lo, hi := 1, 1
-	for !p.aggFeasible(demand, hi) {
+	for !p.aggFeasible(&demand, hi) {
 		hi *= 2
 		if hi > 1<<22 {
 			break
@@ -148,7 +193,7 @@ func (p *packer) lowerBoundPLBs() int {
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if p.aggFeasible(demand, mid) {
+		if p.aggFeasible(&demand, mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -158,25 +203,25 @@ func (p *packer) lowerBoundPLBs() int {
 }
 
 // roleDemand tallies role demands over the given objects (nil = all).
-func (p *packer) roleDemand(objs []int32) map[cells.Role]int {
-	d := map[cells.Role]int{}
-	add := func(i int32) {
-		if cfg := p.objCfg[i]; cfg != nil {
-			for _, r := range cfg.Roles {
-				d[r]++
-			}
-		}
-	}
+func (p *packer) roleDemand(objs []int32) roleCount {
+	var d roleCount
 	if objs == nil {
-		for i := range p.prob.Objs {
-			add(int32(i))
+		for i := range p.objRoles {
+			p.addRoles(&d, int32(i), 1)
 		}
 	} else {
 		for _, i := range objs {
-			add(i)
+			p.addRoles(&d, i, 1)
 		}
 	}
 	return d
+}
+
+// addRoles adds sign times object o's role demand to d.
+func (p *packer) addRoles(d *roleCount, o int32, sign int) {
+	for _, ri := range p.objRoles[o] {
+		d[ri] += sign
+	}
 }
 
 // slotTypes groups the architecture's slots by component name for
@@ -193,8 +238,12 @@ func (p *packer) slotTypes() {
 		types = append(types, k)
 	}
 	sort.Strings(types)
-	for _, t := range types {
-		p.slotServes = append(p.slotServes, serves[t])
+	for j, t := range types {
+		for _, r := range serves[t] {
+			if ri := roleIndex(r); ri >= 0 {
+				p.roleSlots[ri] = append(p.roleSlots[ri], j)
+			}
+		}
 		p.slotCount = append(p.slotCount, count[t])
 	}
 }
@@ -202,32 +251,27 @@ func (p *packer) slotTypes() {
 // aggFeasible checks by max-flow whether numPLBs PLBs can satisfy the
 // aggregate role demand (per-PLB integrality is enforced later at the
 // leaves).
-func (p *packer) aggFeasible(demand map[cells.Role]int, numPLBs int) bool {
-	roles := make([]cells.Role, 0, len(demand))
-	total := 0
-	for r, n := range demand {
-		roles = append(roles, r)
-		total += n
-	}
-	sort.Slice(roles, func(i, j int) bool { return roles[i] < roles[j] })
-	if p.slotServes == nil {
+func (p *packer) aggFeasible(demand *roleCount, numPLBs int) bool {
+	if p.slotCount == nil {
 		p.slotTypes()
 	}
-	// Nodes: 0 source, 1 sink, 2..1+len(roles) roles, then slot types.
-	g := flowmap.NewDinic(2 + len(roles) + len(p.slotServes))
-	for i, r := range roles {
-		g.AddEdge(0, 2+i, int64(demand[r]))
-		for j, serves := range p.slotServes {
-			for _, sr := range serves {
-				if sr == r {
-					g.AddEdge(2+i, 2+len(roles)+j, flowmap.Inf)
-					break
-				}
-			}
+	// Nodes: 0 source, 1 sink, 2..1+maxRoles roles, then slot types.
+	// Roles without demand get no edge; the max-flow value, the only
+	// thing read, does not depend on node or edge order.
+	g := flowmap.NewDinic(2 + maxRoles + len(p.slotCount))
+	total := 0
+	for ri, n := range demand {
+		if n == 0 {
+			continue
+		}
+		total += n
+		g.AddEdge(0, 2+ri, int64(n))
+		for _, j := range p.roleSlots[ri] {
+			g.AddEdge(2+ri, 2+maxRoles+j, flowmap.Inf)
 		}
 	}
 	for j, n := range p.slotCount {
-		g.AddEdge(2+len(roles)+j, 1, int64(n*numPLBs))
+		g.AddEdge(2+maxRoles+j, 1, int64(n*numPLBs))
 	}
 	return g.MaxFlow(0, 1, -1) >= int64(total)
 }

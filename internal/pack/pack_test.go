@@ -151,17 +151,24 @@ func TestObjectsSnapToPLBCenters(t *testing.T) {
 func TestAggFeasible(t *testing.T) {
 	arch := cells.GranularPLB()
 	p := &packer{arch: arch}
+	demand := func(m map[cells.Role]int) *roleCount {
+		var d roleCount
+		for r, n := range m {
+			d[roleIndex(r)] = n
+		}
+		return &d
+	}
 	// One PLB serves 3 mux + 1 nand.
-	if !p.aggFeasible(map[cells.Role]int{cells.RoleMux: 3, cells.RoleNand: 1}, 1) {
+	if !p.aggFeasible(demand(map[cells.Role]int{cells.RoleMux: 3, cells.RoleNand: 1}), 1) {
 		t.Error("3 mux + 1 nand must fit one granular PLB")
 	}
-	if p.aggFeasible(map[cells.Role]int{cells.RoleMux: 4}, 1) {
+	if p.aggFeasible(demand(map[cells.Role]int{cells.RoleMux: 4}), 1) {
 		t.Error("4 mux must not fit one granular PLB")
 	}
-	if !p.aggFeasible(map[cells.Role]int{cells.RoleMux: 4}, 2) {
+	if !p.aggFeasible(demand(map[cells.Role]int{cells.RoleMux: 4}), 2) {
 		t.Error("4 mux must fit two granular PLBs")
 	}
-	if p.aggFeasible(map[cells.Role]int{cells.RoleLUT: 1}, 8) {
+	if p.aggFeasible(demand(map[cells.Role]int{cells.RoleLUT: 1}), 8) {
 		t.Error("granular arch has no LUT slots")
 	}
 }

@@ -120,20 +120,15 @@ func (p *packer) nearestQuad(quads []region, pt coord) int {
 // balance moves objects out of over-demanded quadrants into feasible
 // siblings until every quadrant's aggregate demand fits its supply.
 // Move order: least critical first, then smallest displacement.
-// Demand maps are maintained incrementally so large designs avoid
+// Demand tallies are maintained incrementally so large designs avoid
 // rescanning buckets per candidate.
 func (p *packer) balance(quads []region, buckets [][]int32, pos []coord) {
-	demands := make([]map[cells.Role]int, len(quads))
+	demands := make([]roleCount, len(quads))
 	for qi := range quads {
 		demands[qi] = p.roleDemand(buckets[qi])
 	}
-	addRoles := func(d map[cells.Role]int, cfg *cells.Config, sign int) {
-		for _, r := range cfg.Roles {
-			d[r] += sign
-		}
-	}
 	for qi := range quads {
-		if p.aggFeasible(demands[qi], quads[qi].plbs()) {
+		if p.aggFeasible(&demands[qi], quads[qi].plbs()) {
 			continue
 		}
 		// Candidates to evict, cheapest first.
@@ -149,11 +144,10 @@ func (p *packer) balance(quads []region, buckets [][]int32, pos []coord) {
 		})
 		moved := map[int32]int{} // object -> receiving quadrant
 		for _, o := range cands {
-			cfg := p.objCfg[o]
-			if cfg == nil {
+			if p.objCfg[o] == nil {
 				continue // absorbed inverters never constrain resources
 			}
-			if p.aggFeasible(demands[qi], quads[qi].plbs()) {
+			if p.aggFeasible(&demands[qi], quads[qi].plbs()) {
 				break
 			}
 			// Receiving sibling: nearest center with spare capacity for
@@ -163,9 +157,9 @@ func (p *packer) balance(quads []region, buckets [][]int32, pos []coord) {
 				if qj == qi {
 					continue
 				}
-				addRoles(demands[qj], cfg, 1)
-				ok := p.aggFeasible(demands[qj], quads[qj].plbs())
-				addRoles(demands[qj], cfg, -1)
+				p.addRoles(&demands[qj], o, 1)
+				ok := p.aggFeasible(&demands[qj], quads[qj].plbs())
+				p.addRoles(&demands[qj], o, -1)
 				if !ok {
 					continue
 				}
@@ -178,8 +172,8 @@ func (p *packer) balance(quads []region, buckets [][]int32, pos []coord) {
 			if bestQ < 0 {
 				continue // overfull everywhere; the leaf pass will retry globally
 			}
-			addRoles(demands[qi], cfg, -1)
-			addRoles(demands[bestQ], cfg, 1)
+			p.addRoles(&demands[qi], o, -1)
+			p.addRoles(&demands[bestQ], o, 1)
 			moved[o] = bestQ
 			// Nudge the position toward the receiving region so deeper
 			// levels keep it there.

@@ -34,7 +34,9 @@ type Options struct {
 	CellsX, CellsY int
 	// Capacity is the track count per grid edge (default 24).
 	Capacity int
-	// MaxIters bounds rip-up-and-reroute rounds (default 12).
+	// MaxIters bounds rip-up-and-reroute rounds (default 12); a route
+	// ends sooner at zero overflow or once negotiation stalls (see
+	// stallRounds).
 	MaxIters int
 	// RPerUnit and CPerUnit are wire resistance (kΩ) and capacitance
 	// (fF) per placement distance unit (defaults 0.08 kΩ, 0.20 fF: a
@@ -259,6 +261,24 @@ func (r *router) binOf(oi int32) point {
 	return point{x, y}
 }
 
+// stallRounds and stallPercent define when negotiation has stalled:
+// the loop ends after stallRounds consecutive rounds that each cut
+// overflow by less than stallPercent percent of the previous round's
+// overflow, and the best snapshot is restored as on any other exit.
+// Like place's annealBatch they are part of the algorithm (results
+// change with them), so they are constants, not options. They come
+// from recorded trajectories of congested routes (paper-scale FPU at
+// 12-24 tracks, NetworkSwitch flow b), which fall steeply in round 2
+// and then by about 1% or less per round. Every converging route of
+// the test-, mid- and paper-scale matrices reaches zero within three
+// rounds, before the rule can fire, and below 100 overflowing edges a
+// one-edge drop clears the bar, so a slow but live convergence tail
+// is not cut.
+const (
+	stallRounds  = 2
+	stallPercent = 1
+)
+
 func (r *router) run() (*Result, error) {
 	r.nx, r.ny = r.opts.CellsX, r.opts.CellsY
 	r.binW = r.prob.W / float64(r.nx)
@@ -273,6 +293,8 @@ func (r *router) run() (*Result, error) {
 
 	presentFactor := 0.5
 	iters := 0
+	prevOver := 0 // the previous round's overflow
+	stalled := 0  // consecutive rounds below the stall bar
 	// Negotiation can oscillate: a later rip-up round may end worse
 	// than an earlier one. Keep the lowest-overflow iteration and
 	// restore it at the end, so more iterations never hurt. Snapshots
@@ -299,7 +321,6 @@ func (r *router) run() (*Result, error) {
 			}
 		}
 		iters = iter + 1
-		rerouted := 0
 		for ni := range nets {
 			// The overflow check is deliberately lazy — evaluated when
 			// the loop reaches the net, after earlier nets rerouted —
@@ -312,7 +333,6 @@ func (r *router) run() (*Result, error) {
 			if err := r.routeNet(ni, presentFactor); err != nil {
 				return nil, &RouteError{Net: ni, Iteration: iters, Overflow: r.totalOver, Err: err}
 			}
-			rerouted++
 		}
 		if overflowAudit != nil {
 			overflowAudit(r)
@@ -325,6 +345,15 @@ func (r *router) run() (*Result, error) {
 		if over == 0 {
 			break
 		}
+		if iter > 0 && (prevOver-over)*100 < stallPercent*prevOver {
+			stalled++
+		} else {
+			stalled = 0
+		}
+		if stalled == stallRounds {
+			break
+		}
+		prevOver = over
 		// Accumulate history on congested edges.
 		for i, u := range r.hUse {
 			if int(u) > r.opts.Capacity {
@@ -337,9 +366,6 @@ func (r *router) run() (*Result, error) {
 			}
 		}
 		presentFactor *= 1.6
-		if rerouted == 0 {
-			break
-		}
 	}
 	if bestOver >= 0 && bestOver < r.totalOver {
 		// The incidence lists and per-net overflow counters are not
